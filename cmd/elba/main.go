@@ -36,23 +36,16 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("elba", flag.ContinueOnError)
-	timescale := fs.Float64("timescale", 1.0, "shrink trial periods by this factor (1.0 = paper protocol)")
+	knobs := core.Flags(fs)
 	jsonOut := fs.String("json", "", "write the result store as JSON to this file")
 	csvOut := fs.String("csv", "", "write the result store as CSV to this file")
 	suite := fs.String("suite", "", "run a built-in suite: paper or reduced")
 	archive := fs.String("archive", "", "store raw per-host monitor output under this directory")
-	parallel := fs.Int("parallel", 1, "concurrent deployments per sweep")
-	trialParallel := fs.Int("trialparallel", 1, "concurrent trials per deployment's workload grid (results identical for any value)")
-	seed := fs.Uint64("seed", 0, "root seed mixed into every trial seed (0 = default derivation)")
-	faults := fs.String("faults", "", "inject a built-in fault profile: none, light, or heavy")
-	trialRetries := fs.Int("trialretries", 0, "re-run each failed workload point up to this many extra times")
 	traceRate := fs.Float64("trace", 0, "head-sample this fraction of measured requests into span traces (0 = off)")
 	traceExemplars := fs.Int("traceexemplars", 3, "slowest traces persisted in full per traced trial")
 	traceOut := fs.String("traceout", "", "write exemplar traces as Chrome trace-event JSON to this file (requires -trace)")
 	resources := fs.Bool("resources", false, "render the per-tier resource-utilization table per configuration")
 	policies := fs.Bool("policies", false, "render the autoscaling timeline table per experiment with scale events")
-	scaling := fs.String("scaling", "", "override the trial engine: des, fluid, or auto (empty = per-spec scaling clause)")
-	scalingThreshold := fs.Int("scalingthreshold", 0, "population at which -scaling auto switches to the fluid engine")
 	cacheDir := fs.String("cachedir", "", "memoize trials content-addressed under this directory; repeat runs and overlapping sweeps replay cached results")
 	stream := fs.Bool("stream", false, "stream the run: per-trial RT sketches, live knee/SLO detection lines, folded tables at the end")
 	resultLog := fs.String("resultlog", "", "append every committed result to this crash-safe log file (implies -stream)")
@@ -62,13 +55,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	switch *scaling {
-	case "", "des", "fluid", "auto":
-	default:
-		return fmt.Errorf("-scaling must be des, fluid, or auto (got %q)", *scaling)
-	}
-	if *scalingThreshold < 0 {
-		return fmt.Errorf("-scalingthreshold must be non-negative")
+	opts, err := knobs()
+	if err != nil {
+		return err
 	}
 
 	var src string
@@ -117,41 +106,32 @@ func run(args []string) error {
 		}
 	}
 
-	c, err := core.New(core.Options{
-		TimeScale:        *timescale,
-		TrialCache:       trialCache,
-		Parallel:         *parallel,
-		TrialParallel:    *trialParallel,
-		Seed:             *seed,
-		FaultProfile:     *faults,
-		TrialRetries:     *trialRetries,
-		TraceRate:        *traceRate,
-		TraceExemplars:   *traceExemplars,
-		ScalingEngine:    *scaling,
-		ScalingThreshold: *scalingThreshold,
-		SketchRT:         streaming,
-		OnTrial: func(r store.Result) {
-			status := "ok"
-			if !r.Completed {
-				status = "FAILED: " + r.FailReason
-			}
-			fmt.Printf("  %-40s rt=%7.1fms x=%7.1f/s app=%5.1f%% db=%5.1f%% %s\n",
-				r.Key.String(), r.AvgRTms, r.Throughput,
-				r.TierCPU["app"], r.TierCPU["db"], status)
-			if streaming {
-				foldMu.Lock()
-				if rlog != nil {
-					if err := rlog.Append(r); err != nil {
-						fmt.Fprintln(os.Stderr, "elba: result log:", err)
-					}
+	opts.TrialCache = trialCache
+	opts.TraceRate = *traceRate
+	opts.TraceExemplars = *traceExemplars
+	opts.SketchRT = streaming
+	opts.OnTrial = func(r store.Result) {
+		status := "ok"
+		if !r.Completed {
+			status = "FAILED: " + r.FailReason
+		}
+		fmt.Printf("  %-40s rt=%7.1fms x=%7.1f/s app=%5.1f%% db=%5.1f%% %s\n",
+			r.Key.String(), r.AvgRTms, r.Throughput,
+			r.TierCPU["app"], r.TierCPU["db"], status)
+		if streaming {
+			foldMu.Lock()
+			if rlog != nil {
+				if err := rlog.Append(r); err != nil {
+					fmt.Fprintln(os.Stderr, "elba: result log:", err)
 				}
-				for _, ev := range folder.Ingest(r) {
-					fmt.Printf("  >> %s\n", ev.Message)
-				}
-				foldMu.Unlock()
 			}
-		},
-	})
+			for _, ev := range folder.Ingest(r) {
+				fmt.Printf("  >> %s\n", ev.Message)
+			}
+			foldMu.Unlock()
+		}
+	}
+	c, err := core.New(opts)
 	if err != nil {
 		return err
 	}

@@ -20,7 +20,6 @@ import (
 
 	"elba/internal/campaign"
 	"elba/internal/core"
-	"elba/internal/fault"
 )
 
 func main() {
@@ -32,39 +31,25 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("elbad", flag.ContinueOnError)
+	knobs := core.Flags(fs)
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 2, "campaigns executed concurrently")
 	queueDepth := fs.Int("queue", 16, "accepted-but-not-running campaign capacity")
 	cacheDir := fs.String("cachedir", "", "persist the trial cache under this directory (empty = in-memory)")
-	timescale := fs.Float64("timescale", 1.0, "shrink trial periods by this factor (1.0 = paper protocol)")
-	parallel := fs.Int("parallel", 1, "concurrent deployments per sweep")
-	trialParallel := fs.Int("trialparallel", 1, "concurrent trials per deployment's workload grid")
-	seed := fs.Uint64("seed", 0, "root seed mixed into every trial seed (0 = default derivation)")
-	faults := fs.String("faults", "", "inject a built-in fault profile: none, light, or heavy")
-	trialRetries := fs.Int("trialretries", 0, "re-run each failed workload point up to this many extra times")
-	scaling := fs.String("scaling", "", "override the trial engine: des, fluid, or auto")
-	scalingThreshold := fs.Int("scalingthreshold", 0, "population at which -scaling auto switches to the fluid engine")
 	stream := fs.Bool("stream", false, "stream campaigns: per-trial sketches, live SSE events, running folded tables")
 	resultLogDir := fs.String("resultlogdir", "", "write each campaign's append-only result log under this directory (implies -stream)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	switch *scaling {
-	case "", "des", "fluid", "auto":
-	default:
-		return fmt.Errorf("-scaling must be des, fluid, or auto (got %q)", *scaling)
-	}
-	// Campaigns build their characterizers lazily; validate the profile
-	// now so a typo fails the daemon at startup, not every submission.
-	if *faults != "" {
-		if _, ok := fault.ProfileByName(*faults); !ok {
-			return fmt.Errorf("unknown fault profile %q (have %v)", *faults, fault.Profiles())
-		}
+	// Campaigns build their characterizers lazily; validate the knobs now
+	// so a typo fails the daemon at startup, not every submission.
+	opts, err := knobs()
+	if err != nil {
+		return err
 	}
 
 	var cache *campaign.Cache
 	if *cacheDir != "" {
-		var err error
 		cache, err = campaign.OpenCache(*cacheDir)
 		if err != nil {
 			return err
@@ -77,16 +62,7 @@ func run(args []string) error {
 		Cache:        cache,
 		Stream:       *stream,
 		ResultLogDir: *resultLogDir,
-		Options: core.Options{
-			TimeScale:        *timescale,
-			Parallel:         *parallel,
-			TrialParallel:    *trialParallel,
-			Seed:             *seed,
-			FaultProfile:     *faults,
-			TrialRetries:     *trialRetries,
-			ScalingEngine:    *scaling,
-			ScalingThreshold: *scalingThreshold,
-		},
+		Options:      opts,
 	})
 	defer svc.Close()
 

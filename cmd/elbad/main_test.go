@@ -256,6 +256,48 @@ func TestCancelEndpointStopsCampaign(t *testing.T) {
 	}
 }
 
+// TestSubmitAnswers503WhenQueueFull: with one worker and room for one
+// queued campaign, at most two of three long submissions are accepted;
+// the rejected one answers 503, the retry-later status.
+func TestSubmitAnswers503WhenQueueFull(t *testing.T) {
+	svc := campaign.NewService(campaign.Config{
+		Workers:    1,
+		QueueDepth: 1,
+		Options:    core.Options{TimeScale: 0.1},
+	})
+	ts := httptest.NewServer(newMux(svc))
+	t.Cleanup(func() {
+		ts.Close()
+		svc.Close()
+	})
+	const long = `experiment "long" {
+		benchmark rubis; platform emulab; appserver jonas;
+		workload { users 100 to 5000 step 100; writeratio 15; }
+	}`
+	var full int
+	for i := 0; i < 3; i++ {
+		resp, err := http.Post(ts.URL+"/campaigns", "text/plain", strings.NewReader(long))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		switch resp.StatusCode {
+		case http.StatusAccepted:
+		case http.StatusServiceUnavailable:
+			if !strings.Contains(string(body), "queue full") {
+				t.Fatalf("503 body does not say why: %s", body)
+			}
+			full++
+		default:
+			t.Fatalf("submit %d: %s\n%s", i, resp.Status, body)
+		}
+	}
+	if full == 0 {
+		t.Fatal("three submissions to a one-slot queue were all accepted")
+	}
+}
+
 // TestHealthz is the liveness probe.
 func TestHealthz(t *testing.T) {
 	ts, _ := testServer(t, 1)
@@ -274,5 +316,9 @@ func TestFlagValidation(t *testing.T) {
 	}
 	if err := run([]string{"-faults", "apocalyptic", "-addr", "127.0.0.1:0"}); err == nil {
 		t.Fatal("unknown fault profile accepted")
+	}
+	if err := run([]string{"-scalingthreshold", "-5", "-addr", "127.0.0.1:0"}); err == nil ||
+		!strings.Contains(err.Error(), "-scalingthreshold") {
+		t.Fatalf("negative -scalingthreshold accepted: %v", err)
 	}
 }

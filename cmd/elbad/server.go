@@ -2,10 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 
 	"elba/internal/campaign"
 )
@@ -84,7 +84,7 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	c, err := s.svc.Submit(string(src))
 	if err != nil {
 		code := http.StatusBadRequest
-		if strings.Contains(err.Error(), "queue full") {
+		if errors.Is(err, campaign.ErrQueueFull) {
 			code = http.StatusServiceUnavailable
 		}
 		writeError(w, code, err)

@@ -120,10 +120,6 @@ type (
 	ScaleOutOptions = experiment.ScaleOutOptions
 	// Step is one scale-out iteration record.
 	Step = experiment.Step
-	// PopulationPhase and PhaseResult drive and report transient trials
-	// with time-varying populations (workload evolution).
-	PopulationPhase = experiment.PopulationPhase
-	PhaseResult     = experiment.PhaseResult
 	// KneeSearchResult reports an adaptive saturation-point search.
 	KneeSearchResult = experiment.KneeSearchResult
 )

@@ -87,29 +87,25 @@ experiment "ops" {
 	fmt.Println(" the over/under-provisioning dilemma the paper's introduction describes)")
 
 	// A transient view of the same story: hold a 1-4-1 deployment while
-	// the evening surge arrives and recedes, watching response time and
-	// utilization track the population within a single run.
+	// the evening surge arrives and recedes within a single run. The
+	// population is a users expression of protocol time t, re-evaluated
+	// at every monitor window, and the SLO assert is judged per window.
 	fmt.Println("\ntransient surge on a fixed 1-4-1 deployment:")
-	doc, err := elba.ParseTBL(`experiment "surge" {
+	err = c.RunTBL(`experiment "surge" {
 		benchmark rubis; platform emulab; appserver jonas;
-		workload { users 500; writeratio 15; }
+		topology { web 1; app 4; db 1; }
+		workload {
+			users clamp(500 + 500*ramp((t - 100s)/20s) - 500*ramp((t - 200s)/20s), 500, 1000);
+			writeratio 15;
+		}
+		slo { assert p90(rt) < 500ms; }
 	}`)
 	if err != nil {
 		log.Fatal(err)
 	}
-	phases, err := c.Runner().RunTransientAt(doc.Experiments[0],
-		elba.Topology{Web: 1, App: 4, DB: 1},
-		[]elba.PopulationPhase{
-			{Users: 500, DurationSec: 200},
-			{Users: 1000, DurationSec: 200},
-			{Users: 500, DurationSec: 200},
-		})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("phase  users  RT (ms)  p90 (ms)  X (req/s)  app CPU%")
-	for i, ph := range phases {
-		fmt.Printf("%5d  %5d  %7.0f  %8.0f  %9.1f  %7.0f\n",
-			i+1, ph.Phase.Users, ph.AvgRTms, ph.P90ms, ph.Throughput, ph.AppCPU)
-	}
+	surge := c.Results().Filter(func(r elba.Result) bool { return r.Key.Experiment == "surge" })[0]
+	fmt.Printf("users 500 -> 1000 over t=100-120s, back to 500 over t=200-220s: RT %.0f ms, p90 %.0f ms, X %.1f req/s\n",
+		surge.AvgRTms, surge.P90ms, surge.Throughput)
+	fmt.Printf("SLO %q violated in %d of %d windows; violated windows start at (s): %v\n",
+		surge.SLOAssert, surge.SLOViolations, surge.SLOWindows, surge.SLOViolatedAt)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"elba/internal/core"
+	"elba/internal/experiment"
 	"elba/internal/spec"
 	"elba/internal/store"
 )
@@ -114,6 +115,24 @@ func TestOverlappingCampaignsDeterministicAcrossWorkerCounts(t *testing.T) {
 // TestCachePersistsAcrossOpens pins the on-disk index: a second service
 // opening the same directory serves a re-submitted campaign entirely
 // from disk, byte-identically, without computing a single trial.
+// TestKeyIDGolden pins the content address of a fixed trial key, with
+// and without the sketch flag, to the values earlier builds computed:
+// on-disk caches are named by these bytes.
+func TestKeyIDGolden(t *testing.T) {
+	k := experiment.TrialKey{
+		SpecHash: "5f0c6a1e9d3b7c2a", Topology: "1-2-1", Users: 500, WriteRatioPct: 15,
+		Engine: "des", TimeScale: 0.2, RootSeed: 42, FaultProfile: "light",
+		TrialRetries: 1, TraceRate: 0.25, TraceExemplars: 3,
+	}
+	if got, want := KeyID(k), "ac3506e375b828095c66bf5a8ae789118e07593ebb9b437213f3a8fef566cca2"; got != want {
+		t.Errorf("KeyID = %s, want %s", got, want)
+	}
+	k.SketchRT = true
+	if got, want := KeyID(k), "729ef570e25d29975d1f4f5813af1ed4bea1874d6f7de0f5d7f1186fcd583402"; got != want {
+		t.Errorf("KeyID with sketch = %s, want %s", got, want)
+	}
+}
+
 func TestCachePersistsAcrossOpens(t *testing.T) {
 	dir := t.TempDir()
 	cache1, err := OpenCache(dir)

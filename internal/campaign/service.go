@@ -11,6 +11,10 @@ import (
 	"elba/internal/store"
 )
 
+// ErrQueueFull is returned by Submit when the queue of accepted but not
+// yet running campaigns is at capacity; the caller may retry later.
+var ErrQueueFull = errors.New("campaign: queue full")
+
 // Status is a campaign's lifecycle state.
 type Status string
 
@@ -168,7 +172,7 @@ func (s *Service) Submit(src string) (*Campaign, error) {
 	default:
 		s.mu.Unlock()
 		cancel()
-		return nil, fmt.Errorf("campaign: queue full (%d pending)", cap(s.queue))
+		return nil, fmt.Errorf("%w (%d pending)", ErrQueueFull, cap(s.queue))
 	}
 	s.byID[id] = c
 	s.order = append(s.order, id)

@@ -13,71 +13,19 @@ import (
 
 	"elba/internal/cim"
 	"elba/internal/experiment"
-	"elba/internal/fault"
 	"elba/internal/mulini"
 	"elba/internal/report"
 	"elba/internal/spec"
 	"elba/internal/store"
 )
 
-// Options configure a Characterizer.
-type Options struct {
-	// TimeScale shrinks trial periods (1.0 = the paper's full protocol).
-	TimeScale float64
-	// Parallel runs this many deployments of each sweep concurrently
-	// (default 1). OnTrial may then fire from multiple goroutines.
-	Parallel int
-	// TrialParallel runs this many trials within each deployment's
-	// workload grid concurrently (default 1). Stored results are
-	// bit-identical for every setting; see Runner.TrialParallel.
-	TrialParallel int
-	// Seed is an optional root seed mixed into every derived trial seed
-	// (0 keeps the historical per-experiment derivation). Two runs with
-	// the same Seed produce identical results; different Seeds re-run the
-	// same experiments under an independent random universe.
-	Seed uint64
-	// FaultProfile names a built-in fault profile ("none", "light",
-	// "heavy") to inject into every experiment, overriding any profile an
-	// experiment declares itself. Empty defers to the TBL declarations.
-	FaultProfile string
-	// TrialRetries re-runs each failed workload point up to this many
-	// extra times with fresh attempt-mixed seeds (0 = no retries).
-	TrialRetries int
-	// TraceRate head-samples this fraction of every trial's measured
-	// requests into span traces (0 = tracing off).
-	TraceRate float64
-	// TraceExemplars is the number of slowest traces each traced trial
-	// persists in full (used only when TraceRate > 0).
-	TraceExemplars int
-	// ScalingEngine overrides every experiment's scaling clause: "des",
-	// "fluid", or "auto" (empty = defer to TBL declarations).
-	ScalingEngine string
-	// ScalingThreshold is the population at which ScalingEngine "auto"
-	// switches trials to the fluid approximation.
-	ScalingThreshold int
-	// SketchRT attaches a mergeable response-time t-digest to every DES
-	// trial's stored result, the per-trial summary the streaming folder
-	// merges into campaign-level quantiles. Off by default; sketch-free
-	// results serialize byte-identically to historical output.
-	SketchRT bool
-	// TrialCache, when set, memoizes every workload point by its
-	// content-addressed trial key, so overlapping sweeps — within one
-	// run or across runs sharing the cache — reuse prior results
-	// byte-for-byte instead of re-simulating. Nil disables memoization.
-	TrialCache experiment.TrialCache
-	// Catalog overrides the built-in CIM resource model.
-	Catalog *cim.Catalog
-	// Store receives results; a fresh store is created when nil.
-	Store *store.Store
-	// OnTrial observes each trial result as it lands.
-	OnTrial func(store.Result)
-}
+// Options configure a Characterizer: the run knobs, declared once in
+// the experiment package.
+type Options = experiment.Options
 
 // Characterizer is the top-level engine.
 type Characterizer struct {
-	catalog *cim.Catalog
-	runner  *experiment.Runner
-	results *store.Store
+	runner *experiment.Runner
 
 	mu        sync.Mutex     // guards collected (OnTrial may be concurrent)
 	collected map[string]int // experiment set → monitoring bytes
@@ -87,70 +35,46 @@ type Characterizer struct {
 
 // New creates a Characterizer.
 func New(opts Options) (*Characterizer, error) {
-	cat := opts.Catalog
-	if cat == nil {
+	if err := opts.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	if opts.Catalog == nil {
 		var err error
-		cat, err = cim.LoadCatalog()
+		opts.Catalog, err = cim.LoadCatalog()
 		if err != nil {
 			return nil, err
 		}
 	}
-	st := opts.Store
-	if st == nil {
-		st = store.New()
+	if opts.Store == nil {
+		opts.Store = store.New()
 	}
-	runner, err := experiment.NewRunner(cat, st)
+	runner, err := experiment.NewRunner(opts.Catalog, opts.Store)
 	if err != nil {
 		return nil, err
 	}
-	if opts.TimeScale > 0 {
-		runner.TimeScale = opts.TimeScale
-	}
-	if opts.Parallel > 0 {
-		runner.Parallel = opts.Parallel
-	}
-	if opts.TrialParallel > 0 {
-		runner.TrialParallel = opts.TrialParallel
-	}
-	runner.Seed = opts.Seed
-	if opts.FaultProfile != "" {
-		prof, ok := fault.ProfileByName(opts.FaultProfile)
-		if !ok {
-			return nil, fmt.Errorf("core: unknown fault profile %q (have %v)",
-				opts.FaultProfile, fault.Profiles())
-		}
-		runner.FaultProfile = &prof
-	}
-	runner.TrialRetries = opts.TrialRetries
-	runner.TraceRate = opts.TraceRate
-	runner.TraceExemplars = opts.TraceExemplars
-	runner.ScalingEngine = opts.ScalingEngine
-	runner.ScalingThreshold = opts.ScalingThreshold
-	runner.SketchRT = opts.SketchRT
-	runner.TrialCache = opts.TrialCache
 	c := &Characterizer{
-		catalog:   cat,
 		runner:    runner,
-		results:   st,
 		collected: map[string]int{},
 		scales:    map[string]mulini.ScaleReport{},
 	}
-	runner.OnTrial = func(r store.Result) {
+	onTrial := opts.OnTrial
+	opts.OnTrial = func(r store.Result) {
 		c.mu.Lock()
 		c.collected[r.Key.Experiment] += r.CollectedBytes
 		c.mu.Unlock()
-		if opts.OnTrial != nil {
-			opts.OnTrial(r)
+		if onTrial != nil {
+			onTrial(r)
 		}
 	}
+	runner.Options = opts
 	return c, nil
 }
 
 // Catalog exposes the CIM catalog (Tables 1–2).
-func (c *Characterizer) Catalog() *cim.Catalog { return c.catalog }
+func (c *Characterizer) Catalog() *cim.Catalog { return c.runner.Catalog() }
 
 // Results exposes the accumulated result store.
-func (c *Characterizer) Results() *store.Store { return c.results }
+func (c *Characterizer) Results() *store.Store { return c.runner.Store() }
 
 // Runner exposes the underlying experiment runner for advanced use
 // (scale-out control, single trials).
@@ -246,8 +170,8 @@ func (c *Characterizer) Capacity(set string, users int, writeRatioPct, sloMS flo
 	best := spec.Topology{}
 	var bestRes store.Result
 	found := false
-	for _, topo := range c.results.Topologies(set) {
-		r, ok := c.results.Get(store.Key{
+	for _, topo := range c.runner.Store().Topologies(set) {
+		r, ok := c.runner.Store().Get(store.Key{
 			Experiment: set, Topology: topo,
 			Users: users, WriteRatioPct: writeRatioPct,
 		})

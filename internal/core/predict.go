@@ -41,7 +41,7 @@ func (c *Characterizer) Predict(e *spec.Experiment, topo spec.Topology, writeRat
 	if err != nil {
 		return Prediction{}, err
 	}
-	speeds, err := tierSpeeds(c.catalog, e)
+	speeds, err := tierSpeeds(c.Catalog(), e)
 	if err != nil {
 		return Prediction{}, err
 	}

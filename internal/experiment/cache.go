@@ -62,22 +62,24 @@ type TrialCache interface {
 	Do(k TrialKey, compute func() (store.Result, error)) (res store.Result, hit bool, err error)
 }
 
-// trialKey assembles the memo key for one workload point of e on topo.
-func (r *Runner) trialKey(e *spec.Experiment, topo string, cfg TrialConfig) TrialKey {
+// trialKey assembles the memo key for one workload point of e on topo,
+// reading every knob from the trial's run options.
+func trialKey(e *spec.Experiment, topo string, cfg TrialConfig) TrialKey {
+	knobs := cfg.knobs()
 	return TrialKey{
 		SpecHash:       e.TrialHash(),
 		Topology:       topo,
 		Users:          cfg.Users,
 		WriteRatioPct:  cfg.WriteRatioPct,
 		Engine:         cfg.Engine,
-		TimeScale:      cfg.TimeScale,
+		TimeScale:      knobs.timeScale(),
 		Seed:           cfg.Seed,
-		RootSeed:       cfg.RootSeed,
+		RootSeed:       knobs.Seed,
 		FaultProfile:   cfg.FaultProfile,
-		TrialRetries:   r.TrialRetries,
-		TraceRate:      cfg.TraceRate,
-		TraceExemplars: cfg.TraceExemplars,
-		SketchRT:       cfg.SketchRT,
+		TrialRetries:   knobs.TrialRetries,
+		TraceRate:      knobs.TraceRate,
+		TraceExemplars: knobs.TraceExemplars,
+		SketchRT:       knobs.SketchRT,
 	}
 }
 

@@ -493,47 +493,3 @@ func TestArchiveWritesMonitorFiles(t *testing.T) {
 		t.Fatalf("archived file unparseable: %v", err)
 	}
 }
-
-// TestTransientTrialTracksSchedule drives a surge schedule and checks the
-// observed utilization and throughput follow the population.
-func TestTransientTrialTracksSchedule(t *testing.T) {
-	r := testRunner(t)
-	e := rubisExperiment(t, `workload { users 100; writeratio 15; }`)
-	phases, err := r.RunTransientAt(e, spec.Topology{Web: 1, App: 2, DB: 1},
-		[]PopulationPhase{
-			{Users: 100, DurationSec: 200},
-			{Users: 400, DurationSec: 200},
-			{Users: 100, DurationSec: 200},
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(phases) != 3 {
-		t.Fatalf("phases = %d", len(phases))
-	}
-	if phases[1].Throughput < phases[0].Throughput*2.5 {
-		t.Fatalf("surge throughput %.1f not ≈4x base %.1f",
-			phases[1].Throughput, phases[0].Throughput)
-	}
-	if phases[1].AppCPU <= phases[0].AppCPU {
-		t.Fatalf("surge should raise app CPU: %.1f -> %.1f",
-			phases[0].AppCPU, phases[1].AppCPU)
-	}
-	// Recovery: the last phase should settle back near the first.
-	if phases[2].Throughput > phases[0].Throughput*1.5 {
-		t.Fatalf("post-surge throughput did not settle: %.1f vs %.1f",
-			phases[2].Throughput, phases[0].Throughput)
-	}
-}
-
-func TestTransientTrialValidation(t *testing.T) {
-	r := testRunner(t)
-	e := rubisExperiment(t, `workload { users 100; writeratio 15; }`)
-	topo := spec.Topology{Web: 1, App: 1, DB: 1}
-	if _, err := r.RunTransientAt(e, topo, nil); err == nil {
-		t.Errorf("empty schedule accepted")
-	}
-	if _, err := r.RunTransientAt(e, topo, []PopulationPhase{{Users: 10, DurationSec: 0}}); err == nil {
-		t.Errorf("zero duration accepted")
-	}
-}

@@ -8,6 +8,7 @@ import (
 	"elba/internal/expr"
 	"elba/internal/fault"
 	"elba/internal/fluid"
+	"elba/internal/metrics"
 	"elba/internal/sim"
 	"elba/internal/spec"
 	"elba/internal/store"
@@ -297,9 +298,9 @@ func (o *desObserver) observe(now, warm, ts float64) expr.Env {
 		env.P50, env.P90, env.P99 = o.lastQ[0], o.lastQ[1], o.lastQ[2]
 	} else {
 		sort.Float64s(o.rts)
-		env.P50 = quantileSorted(o.rts, 0.50)
-		env.P90 = quantileSorted(o.rts, 0.90)
-		env.P99 = quantileSorted(o.rts, 0.99)
+		env.P50 = metrics.QuantileSorted(o.rts, 0.50)
+		env.P90 = metrics.QuantileSorted(o.rts, 0.90)
+		env.P99 = metrics.QuantileSorted(o.rts, 0.99)
 		o.lastQ = [3]float64{env.P50, env.P90, env.P99}
 	}
 	for ti := 0; ti < expr.NumTiers; ti++ {
@@ -343,29 +344,6 @@ func (o *desObserver) observe(now, warm, ts float64) expr.Env {
 	}
 	o.prevTime = now
 	return env
-}
-
-// quantileSorted interpolates like metrics.Sample.Quantile over an
-// already-sorted window, so DES window quantiles match the whole-run
-// statistics' definition. Empty windows report zero.
-func quantileSorted(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return xs[0]
-	}
-	if q >= 1 {
-		return xs[len(xs)-1]
-	}
-	pos := q * float64(len(xs)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return xs[lo]
-	}
-	frac := pos - float64(lo)
-	return xs[lo]*(1-frac) + xs[hi]*frac
 }
 
 // armDES schedules the window boundaries on the trial kernel. Call it at

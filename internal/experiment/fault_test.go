@@ -4,19 +4,9 @@ import (
 	"strings"
 	"testing"
 
-	"elba/internal/fault"
 	"elba/internal/report"
 	"elba/internal/store"
 )
-
-func profile(t *testing.T, name string) *fault.Profile {
-	t.Helper()
-	p, ok := fault.ProfileByName(name)
-	if !ok {
-		t.Fatalf("built-in profile %s missing", name)
-	}
-	return &p
-}
 
 // TestFaultProfileDeterministicAcrossWorkers extends the tentpole
 // determinism property to fault injection: with a profile armed, a seeded
@@ -28,7 +18,7 @@ func TestFaultProfileDeterministicAcrossWorkers(t *testing.T) {
 		arm := func(workers int) (string, string) {
 			csv, jsonText, _ := runGrid(t, workers, func(r *Runner) {
 				r.Seed = 42
-				r.FaultProfile = profile(t, name)
+				r.FaultProfile = name
 				r.TrialRetries = 1
 			})
 			return csv, jsonText
@@ -56,7 +46,7 @@ func TestFaultProfileDeterministicAcrossWorkers(t *testing.T) {
 func TestNoFaultProfileKeepsBaselineBytes(t *testing.T) {
 	baseCSV, baseJSON, _ := runGrid(t, 2, nil)
 	csv, jsonText, _ := runGrid(t, 2, func(r *Runner) {
-		r.FaultProfile = profile(t, "none")
+		r.FaultProfile = "none"
 		r.TrialRetries = 2 // no failures, so the budget must never engage
 	})
 	if csv != baseCSV {
@@ -170,7 +160,7 @@ func TestFaultPlanFollowsRootSeed(t *testing.T) {
 	run := func(seed uint64) []string {
 		r := testRunner(t)
 		r.Seed = seed
-		r.FaultProfile = profile(t, "heavy")
+		r.FaultProfile = "heavy"
 		e := rubisExperiment(t, `workload { users 50; writeratio 15; }`)
 		if err := r.RunExperiment(e); err != nil {
 			t.Fatal(err)

@@ -11,7 +11,14 @@ import (
 	"elba/internal/store"
 )
 
-// RunReplicatedTrial runs a workload point `repeat` times with
+// replicaSeed derives replica i's seed from the workload point's base
+// seed. Each replica's random stream is a pure function of (base, i), so
+// the aggregate is bit-identical however the replicas are scheduled.
+func replicaSeed(base uint64, i int) uint64 {
+	return base ^ (uint64(i+1) * 0x9e3779b97f4a7c15)
+}
+
+// RunReplicatedTrialParallel runs a workload point `repeat` times with
 // independent seeds and aggregates the results: response-time and
 // throughput means carry 95% confidence half-widths, counters are summed,
 // and the aggregate is marked failed if any replica failed. With
@@ -20,38 +27,19 @@ import (
 // Replication is the standard answer to the "random fluctuations ... at
 // saturation" the paper observes (§IV.A): the confidence interval makes
 // the fluctuation quantitative.
-func RunReplicatedTrial(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement,
-	cfg TrialConfig, repeat int) (*TrialOutcome, error) {
-	return RunReplicatedTrialParallel(e, d, p, cfg, repeat, 1)
-}
-
-// replicaSeed derives replica i's seed from the workload point's base
-// seed. Each replica's random stream is a pure function of (base, i), so
-// the aggregate is bit-identical however the replicas are scheduled.
-func replicaSeed(base uint64, i int) uint64 {
-	return base ^ (uint64(i+1) * 0x9e3779b97f4a7c15)
-}
-
-// RunReplicatedTrialParallel is RunReplicatedTrial with the replicas run
-// on a bounded pool of `workers` goroutines. Replica seeds are derived
-// from the replica index alone and aggregation always folds outcomes in
-// index order, so the result is bit-identical for every worker count.
-// Errors from all failed replicas are collected (errors.Join), not just
-// the first.
+//
+// The replicas run on a bounded pool of `workers` goroutines. Replica
+// seeds are derived from the replica index alone and aggregation always
+// folds outcomes in index order, so the result is bit-identical for every
+// worker count. Errors from all failed replicas are collected
+// (errors.Join), not just the first.
 func RunReplicatedTrialParallel(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement,
 	cfg TrialConfig, repeat, workers int) (*TrialOutcome, error) {
 
 	if repeat <= 1 {
 		return RunTrial(e, d, p, cfg)
 	}
-	base := cfg.Seed
-	if base == 0 {
-		base = deriveSeed(e.Seed, d.Topology.String(), cfg.Users, cfg.WriteRatioPct)
-		if cfg.RootSeed != 0 {
-			base = mixRootSeed(base, cfg.RootSeed, e.Name)
-		}
-		base = mixAttempt(base, cfg.Attempt)
-	}
+	base := cfg.seed(e, d)
 
 	outs := make([]*TrialOutcome, repeat)
 	if workers > repeat {

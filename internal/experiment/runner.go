@@ -13,7 +13,6 @@ import (
 	"elba/internal/cluster"
 	"elba/internal/deploy"
 	"elba/internal/fault"
-	"elba/internal/metrics"
 	"elba/internal/mulini"
 	"elba/internal/spec"
 	"elba/internal/store"
@@ -23,16 +22,12 @@ import (
 // the Mulini-generated bundle, sweeps the workload grid, and records one
 // result per trial.
 type Runner struct {
-	catalog *cim.Catalog
-	gen     *mulini.Generator
-	results *store.Store
+	// Options are the run knobs. Catalog and Store are set by NewRunner
+	// and must not be replaced afterwards.
+	Options
 
-	// TimeScale shrinks every trial's periods (1.0 = full paper
-	// protocol). Exposed so tests and quick benchmarks can run the same
-	// pipeline faster.
-	TimeScale float64
-	// OnTrial, when set, observes each stored result as it lands.
-	OnTrial func(store.Result)
+	gen *mulini.Generator
+
 	// KeepGoingOnFailure records failed trials and continues the sweep
 	// (the paper's tables keep failed cells as gaps). When false, the
 	// first failed trial aborts the experiment.
@@ -42,67 +37,6 @@ type Runner struct {
 	// <dir>/<experiment>/<topology>/u<users>_w<ratio>/ — the per-host
 	// data files the paper collects by the gigabyte (Table 3).
 	ArchiveDir string
-	// Parallel runs this many deployments of a sweep concurrently
-	// (default 1 = sequential). Trials are independent simulations;
-	// cluster allocation is serialized internally, and the effective
-	// parallelism is capped so concurrent topologies always fit the
-	// platform's node count. OnTrial may be called from multiple
-	// goroutines when Parallel > 1.
-	Parallel int
-	// TrialParallel runs this many trials of one deployment's workload
-	// grid concurrently (default 1 = sequential), and, for single-point
-	// runs, this many trial replicas. Every trial draws from a random
-	// stream derived purely from its coordinates, and results are
-	// committed to the store in grid order, so the stored results are
-	// bit-identical for every TrialParallel value.
-	TrialParallel int
-	// Seed, when non-zero, is a root seed mixed into every derived trial
-	// seed together with the experiment name. Zero keeps the historical
-	// per-experiment derivation.
-	Seed uint64
-	// FaultProfile, when set and enabled, injects deterministic faults
-	// into every deployment and trial: slow nodes and deploy-step glitches
-	// at deployment scope, crash/slowdown/stall/errorburst windows inside
-	// trials. Nil falls back to the experiment's own `profile` declaration
-	// (if any). Plans derive purely from (Seed, coordinates), so seeded
-	// runs stay byte-identical for every Parallel/TrialParallel value.
-	FaultProfile *fault.Profile
-	// TrialRetries is the per-workload-point retry budget: a trial that
-	// fails to complete is re-run up to this many extra times, each with a
-	// fresh attempt-mixed seed, and the last attempt's result is kept
-	// (0 = no retries).
-	TrialRetries int
-	// TraceRate head-samples this fraction of every trial's measured
-	// requests into span traces (0 = tracing off). Each trial's traced
-	// subset derives purely from its coordinates, so seeded traced sweeps
-	// are byte-identical for every Parallel/TrialParallel value.
-	TraceRate float64
-	// TraceExemplars is the number of slowest traces each traced trial
-	// persists in full in its stored result.
-	TraceExemplars int
-	// SketchRT attaches a mergeable response-time t-digest to every DES
-	// trial's stored result (Result.RTSketch). Off by default: sketch-free
-	// results serialize byte-identically to historical output.
-	SketchRT bool
-	// OnRTSample, when set, observes every measured successful response
-	// time of every DES trial (seconds, completion order), tagged with
-	// the trial's grid key. Like OnTrial it may fire from multiple
-	// goroutines when Parallel or TrialParallel exceed 1; workload points
-	// served from the trial cache run no simulation and never fire it.
-	OnRTSample func(k store.Key, rt float64)
-	// ScalingEngine, when non-empty, overrides the experiment's scaling
-	// clause: "des", "fluid", or "auto" (with ScalingThreshold).
-	ScalingEngine string
-	// ScalingThreshold is the population at which engine "auto" switches
-	// to the fluid approximation. Used only with ScalingEngine "auto".
-	ScalingThreshold int
-	// TrialCache, when set, memoizes every workload point's result by
-	// its full trial coordinates (TrialKey): a repeated point — within a
-	// sweep, across sweeps, or across campaigns sharing the cache — is
-	// served from the cache instead of re-simulated, byte-identically,
-	// because trials are pure functions of the key. Nil (the default)
-	// runs every point, exactly as before the cache existed.
-	TrialCache TrialCache
 
 	// cacheHits and cacheMisses count this runner's workload points
 	// served from / computed into TrialCache.
@@ -123,26 +57,14 @@ func NewRunner(catalog *cim.Catalog, st *store.Store) (*Runner, error) {
 		st = store.New()
 	}
 	return &Runner{
-		catalog:            catalog,
+		Options:            Options{TimeScale: 1.0, Catalog: catalog, Store: st},
 		gen:                gen,
-		results:            st,
-		TimeScale:          1.0,
 		KeepGoingOnFailure: true,
 	}, nil
 }
 
-// engineFor resolves the trial engine for a workload point: the runner's
-// override wins over the experiment's scaling clause; both absent keeps
-// the historical untagged DES path.
-func (r *Runner) engineFor(e *spec.Experiment, users int) string {
-	if r.ScalingEngine != "" {
-		return spec.Scaling{ThresholdUsers: r.ScalingThreshold, Engine: r.ScalingEngine}.EngineFor(users)
-	}
-	return e.Scaling.EngineFor(users)
-}
-
 // Store exposes the accumulated results.
-func (r *Runner) Store() *store.Store { return r.results }
+func (r *Runner) Store() *store.Store { return r.Options.Store }
 
 // CacheHits reports the workload points this runner served from its
 // trial cache (0 when no cache is attached).
@@ -157,11 +79,11 @@ func (r *Runner) CacheMisses() uint64 { return r.cacheMisses.Load() }
 func (r *Runner) Generator() *mulini.Generator { return r.gen }
 
 // Catalog exposes the CIM catalog.
-func (r *Runner) Catalog() *cim.Catalog { return r.catalog }
+func (r *Runner) Catalog() *cim.Catalog { return r.Options.Catalog }
 
 // newCluster materializes the experiment's platform.
 func (r *Runner) newCluster(e *spec.Experiment) (*cluster.Cluster, error) {
-	platform, ok := r.catalog.PlatformByName(e.Platform)
+	platform, ok := r.Options.Catalog.PlatformByName(e.Platform)
 	if !ok {
 		return nil, fmt.Errorf("experiment: platform %q not in catalog", e.Platform)
 	}
@@ -254,31 +176,6 @@ func (r *Runner) RunExperimentContext(ctx context.Context, e *spec.Experiment) e
 	return errors.Join(workerErrs...)
 }
 
-// rtObserverFor adapts the runner's OnRTSample hook to a per-trial
-// observer carrying the grid key. Nil hook (the default) yields a nil
-// observer, leaving the trial's tap wiring entirely untouched.
-func (r *Runner) rtObserverFor(experiment, topo string, users int, wr float64) metrics.Observer {
-	if r.OnRTSample == nil {
-		return nil
-	}
-	k := store.Key{Experiment: experiment, Topology: topo, Users: users, WriteRatioPct: wr}
-	return metrics.ObserverFunc(func(rt float64) { r.OnRTSample(k, rt) })
-}
-
-// profileFor resolves the fault profile for an experiment: the runner's
-// override wins, else the experiment's own TBL declaration, else none.
-func (r *Runner) profileFor(e *spec.Experiment) fault.Profile {
-	if r.FaultProfile != nil {
-		return *r.FaultProfile
-	}
-	if e.FaultProfile != "" {
-		if p, ok := fault.ProfileByName(e.FaultProfile); ok {
-			return p
-		}
-	}
-	return fault.Profile{}
-}
-
 // serverRoles lists the deployment's server roles in canonical (tier,
 // replica) order — the coordinate basis for fault-plan derivation.
 func serverRoles(d *mulini.Deployment) []string {
@@ -304,6 +201,26 @@ func (r *Runner) armDeployer(dp *deploy.Deployer, prof fault.Profile, e *spec.Ex
 	})
 }
 
+// trialConfig is the config of one workload point of e on deployment d
+// under fault profile prof — the one place a TrialConfig is built. The
+// knobs are referenced, not copied.
+func (r *Runner) trialConfig(e *spec.Experiment, d *mulini.Deployment, prof fault.Profile,
+	users int, writeRatioPct float64) TrialConfig {
+
+	cfg := TrialConfig{
+		Users:         users,
+		WriteRatioPct: writeRatioPct,
+		Engine:        r.engineFor(e, users),
+		Knobs:         &r.Options,
+	}
+	if prof.Enabled() {
+		cfg.FaultProfile = prof.Name
+		cfg.FaultPlan = prof.TrialPlan(r.Seed, e.Name, d.Topology.String(), serverRoles(d),
+			users, writeRatioPct, e.Trial.RunSec)
+	}
+	return cfg
+}
+
 // runPoint runs one workload point through the trial cache: a key
 // already cached (or in flight on another campaign sharing the cache)
 // is served without simulating, everything else is computed by
@@ -320,7 +237,7 @@ func (r *Runner) runPoint(ctx context.Context, cache TrialCache, e *spec.Experim
 		return r.runPointUncached(ctx, e, d, placement, cfg, workers)
 	}
 	var fresh *TrialOutcome
-	res, _, err := cache.Do(r.trialKey(e, d.Topology.String(), cfg), func() (store.Result, error) {
+	res, _, err := cache.Do(trialKey(e, d.Topology.String(), cfg), func() (store.Result, error) {
 		out, err := r.runPointUncached(ctx, e, d, placement, cfg, workers)
 		if err != nil {
 			return store.Result{}, err
@@ -382,8 +299,11 @@ func (r *Runner) runPointUncached(ctx context.Context, e *spec.Experiment, d *mu
 // the lock, which is what makes sweep parallelism safe. Each deployment
 // gets its own deployer so fault wiring never races across topologies.
 func (r *Runner) runDeployment(ctx context.Context, e *spec.Experiment, cl *cluster.Cluster, d *mulini.Deployment) error {
+	prof, err := r.profileFor(e)
+	if err != nil {
+		return err
+	}
 	deployer := deploy.NewDeployer(cl)
-	prof := r.profileFor(e)
 	r.armDeployer(deployer, prof, e, d)
 
 	r.clusterMu.Lock()
@@ -427,28 +347,6 @@ func (r *Runner) runDeployment(ctx context.Context, e *spec.Experiment, cl *clus
 		}
 	}
 
-	profName := ""
-	if prof.Enabled() {
-		profName = prof.Name
-	}
-	roles := serverRoles(d)
-	cfgFor := func(pt gridPoint) TrialConfig {
-		return TrialConfig{
-			Users:          pt.users,
-			Engine:         r.engineFor(e, pt.users),
-			WriteRatioPct:  pt.wr,
-			TimeScale:      r.TimeScale,
-			RootSeed:       r.Seed,
-			FaultProfile:   profName,
-			TraceRate:      r.TraceRate,
-			TraceExemplars: r.TraceExemplars,
-			SketchRT:       r.SketchRT,
-			RTObserver:     r.rtObserverFor(e.Name, d.Topology.String(), pt.users, pt.wr),
-			FaultPlan: prof.TrialPlan(r.Seed, e.Name, d.Topology.String(), roles,
-				pt.users, pt.wr, e.Trial.RunSec),
-		}
-	}
-
 	workers := r.TrialParallel
 	if workers < 1 {
 		workers = 1
@@ -459,12 +357,13 @@ func (r *Runner) runDeployment(ctx context.Context, e *spec.Experiment, cl *clus
 
 	if workers <= 1 {
 		for _, pt := range points {
-			out, terr := r.runPoint(ctx, r.TrialCache, e, d, placement, cfgFor(pt), r.TrialParallel)
+			cfg := r.trialConfig(e, d, prof, pt.users, pt.wr)
+			out, terr := r.runPoint(ctx, r.TrialCache, e, d, placement, cfg, r.TrialParallel)
 			if terr != nil {
 				return fmt.Errorf("experiment %s/%s u=%d w=%g: %w",
 					e.Name, d.Topology, pt.users, pt.wr, terr)
 			}
-			r.results.Put(out.Result)
+			r.Options.Store.Put(out.Result)
 			if err := r.archive(out); err != nil {
 				return err
 			}
@@ -505,7 +404,8 @@ func (r *Runner) runDeployment(ctx context.Context, e *spec.Experiment, cl *clus
 				if stop.Load() {
 					continue
 				}
-				out, terr := r.runPoint(ctx, r.TrialCache, e, d, placement, cfgFor(points[i]), 1)
+				cfg := r.trialConfig(e, d, prof, points[i].users, points[i].wr)
+				out, terr := r.runPoint(ctx, r.TrialCache, e, d, placement, cfg, 1)
 				outs[i], terrs[i] = out, terr
 				if !r.KeepGoingOnFailure && out != nil && !out.Result.Completed {
 					stop.Store(true)
@@ -527,7 +427,7 @@ func (r *Runner) runDeployment(ctx context.Context, e *spec.Experiment, cl *clus
 			// Skipped after an abort elsewhere in the grid.
 		case storing:
 			out := outs[i]
-			r.results.Put(out.Result)
+			r.Options.Store.Put(out.Result)
 			if aerr := r.archive(out); aerr != nil {
 				errs = append(errs, aerr)
 				storing = false
@@ -569,8 +469,11 @@ func (r *Runner) runTrialAt(ctx context.Context, cache TrialCache, e *spec.Exper
 	if err != nil {
 		return nil, err
 	}
+	prof, err := r.profileFor(e)
+	if err != nil {
+		return nil, err
+	}
 	deployer := deploy.NewDeployer(cl)
-	prof := r.profileFor(e)
 	r.armDeployer(deployer, prof, e, d)
 	placement, err := deployer.Deploy(d)
 	if err != nil {
@@ -580,31 +483,14 @@ func (r *Runner) runTrialAt(ctx context.Context, cache TrialCache, e *spec.Exper
 	if workers < 1 {
 		workers = 1
 	}
-	profName := ""
-	if prof.Enabled() {
-		profName = prof.Name
-	}
-	out, terr := r.runPoint(ctx, cache, e, d, placement, TrialConfig{
-		Users:          users,
-		Engine:         r.engineFor(e, users),
-		WriteRatioPct:  writeRatioPct,
-		TimeScale:      r.TimeScale,
-		RootSeed:       r.Seed,
-		FaultProfile:   profName,
-		TraceRate:      r.TraceRate,
-		TraceExemplars: r.TraceExemplars,
-		SketchRT:       r.SketchRT,
-		RTObserver:     r.rtObserverFor(e.Name, d.Topology.String(), users, writeRatioPct),
-		FaultPlan: prof.TrialPlan(r.Seed, e.Name, d.Topology.String(), serverRoles(d),
-			users, writeRatioPct, e.Trial.RunSec),
-	}, workers)
+	out, terr := r.runPoint(ctx, cache, e, d, placement, r.trialConfig(e, d, prof, users, writeRatioPct), workers)
 	if uerr := deployer.Undeploy(placement); uerr != nil && terr == nil {
 		terr = uerr
 	}
 	if terr != nil {
 		return nil, terr
 	}
-	r.results.Put(out.Result)
+	r.Options.Store.Put(out.Result)
 	if err := r.archive(out); err != nil {
 		return nil, err
 	}

@@ -3,34 +3,40 @@ package experiment
 import (
 	"math"
 	"os"
-	"sync"
 	"testing"
 
+	"elba/internal/deploy"
+	"elba/internal/fault"
 	"elba/internal/metrics"
 	"elba/internal/spec"
 	"elba/internal/store"
 )
 
-// rtTap accumulates one trial's measured response-time stream three
-// ways: exact order statistics, a fixed-bucket histogram, and an
-// independently-built t-digest.
+// rtTap accumulates one trial's measured response-time stream two ways:
+// exact order statistics and an independently-built t-digest.
 type rtTap struct {
 	sample *metrics.Sample
-	hist   *metrics.Histogram
 	digest *metrics.TDigest
 }
 
+func (tp *rtTap) Observe(rt float64) {
+	ms := rt * 1000
+	tp.sample.Observe(ms)
+	tp.digest.Observe(ms)
+}
+
 // TestSketchCrosscheckRubbosBaseline folds the real per-request RT
-// streams of the paper's RUBBoS baseline spec and cross-checks every
-// estimator against the exact sample at p50/p90/p99:
+// streams of the paper's RUBBoS baseline spec, tapped through
+// TrialConfig.RTObserver, and cross-checks the stored sketch against the
+// exact sample at p50/p90/p99:
 //
 //   - the stored Result.RTSketch must equal an independently-built
 //     digest fed the same stream — the tap is the measurement, not a
 //     shadow of it;
 //   - the digest must land inside the exact sample's rank-error window
 //     ε(q) = max(4·sqrt(q(1−q)), ½)/δ;
-//   - the histogram estimate must agree with the exact value to within
-//     its bucket width.
+//   - the stored percentile columns, exact quantiles of the same stream,
+//     must lie within that window's width in value space of the sketch.
 func TestSketchCrosscheckRubbosBaseline(t *testing.T) {
 	src, err := os.ReadFile("../../specs/rubbos-baseline.tbl")
 	if err != nil {
@@ -41,47 +47,50 @@ func TestSketchCrosscheckRubbosBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var mu sync.Mutex
-	taps := map[store.Key]*rtTap{}
 	r := testRunner(t)
 	r.SketchRT = true
-	r.OnRTSample = func(k store.Key, rt float64) {
-		mu.Lock()
-		defer mu.Unlock()
-		tp := taps[k]
-		if tp == nil {
-			tp = &rtTap{
-				sample: metrics.NewSample(4096),
-				// 5 ms buckets to 30 s: the trials' full RT span.
-				hist:   metrics.NewHistogram(0, 30000, 6000),
-				digest: metrics.NewTDigest(metrics.DefaultTDigestCompression),
-			}
-			taps[k] = tp
-		}
-		ms := rt * 1000
-		tp.sample.Observe(ms)
-		tp.hist.Observe(ms)
-		tp.digest.Observe(ms)
+	type tapped struct {
+		res store.Result
+		tp  *rtTap
 	}
-
+	var trials []tapped
 	for _, e := range doc.Experiments {
-		// The full paper grid runs to 5000 users; two populations per
-		// experiment exercise the same code at test cost.
-		e.Workload.Users = spec.Range{Lo: 500, Hi: 1000, Step: 500}
-		if err := r.RunExperiment(e); err != nil {
+		deployments, err := r.gen.Generate(e)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if len(taps) == 0 {
-		t.Fatal("RT observer never fired")
+		cl, err := r.newCluster(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := deployments[0]
+		placement, err := deploy.NewDeployer(cl).Deploy(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wr := e.Workload.WriteRatioPct.Values()[0]
+		// The full paper grid runs to 5000 users; two populations per
+		// experiment exercise the same code at test cost.
+		for _, users := range []int{500, 1000} {
+			tp := &rtTap{
+				sample: metrics.NewSample(4096),
+				digest: metrics.NewTDigest(metrics.DefaultTDigestCompression),
+			}
+			cfg := r.trialConfig(e, d, fault.Profile{}, users, wr)
+			cfg.RTObserver = tp
+			out, err := RunTrial(e, d, placement, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trials = append(trials, tapped{out.Result, tp})
+		}
 	}
 
-	const bucketMs = 30000.0 / 6000
 	checked := 0
-	for _, res := range r.Store().All() {
-		tp := taps[res.Key]
-		if tp == nil || res.RTSketch == nil {
-			t.Fatalf("no tap or sketch for %v", res.Key)
+	for _, tr := range trials {
+		res, tp := tr.res, tr.tp
+		if res.RTSketch == nil {
+			t.Fatalf("no sketch for %v", res.Key)
 		}
 		if got, want := res.RTSketch.Count(), uint64(tp.sample.Count()); got != want {
 			t.Fatalf("%v: sketch folded %d observations, tap saw %d", res.Key, got, want)
@@ -102,16 +111,11 @@ func TestSketchCrosscheckRubbosBaseline(t *testing.T) {
 				t.Errorf("%v q=%g: sketch %g outside exact rank window [%g, %g] (ε=%g)",
 					res.Key, q, stored, lo, hi, eps)
 			}
-			exact := tp.sample.Quantile(q)
-			if h := tp.hist.Quantile(q); math.Abs(h-exact) > bucketMs {
-				t.Errorf("%v q=%g: histogram %g vs exact %g exceeds one bucket (%g ms)",
-					res.Key, q, h, exact, bucketMs)
-			}
 			checked++
 		}
 		// The stored percentile columns come from the same stream; the
-		// sketch must reproduce them within its own error plus the rank
-		// window's width in value space.
+		// sketch must reproduce them within the rank window's width in
+		// value space.
 		for _, pair := range []struct {
 			q      float64
 			column float64
@@ -122,7 +126,7 @@ func TestSketchCrosscheckRubbosBaseline(t *testing.T) {
 			eps := math.Max(4*math.Sqrt(pair.q*(1-pair.q)), 0.5) / float64(res.RTSketch.Compression())
 			lo := tp.sample.Quantile(math.Max(0, pair.q-eps))
 			hi := tp.sample.Quantile(math.Min(1, pair.q+eps))
-			slack := (hi - lo) + bucketMs
+			slack := hi - lo
 			if d := math.Abs(res.RTSketch.Quantile(pair.q) - pair.column); d > slack {
 				t.Errorf("%v q=%g: sketch %g vs stored column %g differ by %g (> %g)",
 					res.Key, pair.q, res.RTSketch.Quantile(pair.q), pair.column, d, slack)

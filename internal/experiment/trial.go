@@ -29,7 +29,9 @@ const (
 	EngineFluid = "fluid"
 )
 
-// TrialConfig parameterizes one trial run.
+// TrialConfig parameterizes one trial run: the values that differ from
+// trial to trial, plus a reference to the run knobs every trial of a run
+// shares. The runner builds it in exactly one place (Runner.trialConfig).
 type TrialConfig struct {
 	// Users is the concurrent-user population for this trial.
 	Users int
@@ -38,17 +40,8 @@ type TrialConfig struct {
 	Engine string
 	// WriteRatioPct is the database write ratio in percent.
 	WriteRatioPct float64
-	// TimeScale shrinks the trial periods for fast runs (1.0 = the full
-	// paper protocol; 0.1 = one tenth). Defaults to 1.0.
-	TimeScale float64
 	// Seed overrides the derived deterministic seed when non-zero.
 	Seed uint64
-	// RootSeed, when non-zero, is mixed into the derived trial seed along
-	// with the experiment name. It lets a whole experiment set be re-run
-	// under a different random universe (Runner.Seed) while every trial's
-	// stream stays a pure function of (root, experiment, topology, users,
-	// write ratio) — independent of worker count or execution order.
-	RootSeed uint64
 	// FaultPlan is the in-trial fault schedule to inject (nil = none).
 	// Event times are relative to the run period and scale with the trial.
 	FaultPlan []fault.Event
@@ -60,27 +53,49 @@ type TrialConfig struct {
 	// retried trial draws a fresh random universe; attempt 0 preserves the
 	// historical derivation bit-for-bit.
 	Attempt int
-	// TraceRate head-samples this fraction of measured requests into span
-	// traces (0 = tracing off). The sampling stream derives from the trial
-	// seed under its own domain label, so enabling tracing never perturbs
-	// what the trial measures.
-	TraceRate float64
-	// TraceExemplars is the number of slowest traces persisted in full in
-	// the stored result when tracing is on.
-	TraceExemplars int
-	// SketchRT, when true, folds the measured successful response times
-	// into a mergeable t-digest attached to the stored result
-	// (Result.RTSketch, milliseconds). The sketch taps exactly the stream
-	// the exact percentiles are computed from and never touches the
-	// trial's random streams, so every other field of the result is
-	// byte-identical with the knob off. The fluid engine has no
-	// per-request stream and records no sketch.
-	SketchRT bool
 	// RTObserver, when set, observes every measured successful response
-	// time (seconds, completion order) as the trial runs — the streaming
-	// path's live tap and the differential tests' window into real trial
-	// streams. Ignored by the fluid engine.
+	// time (seconds, completion order) as the trial runs. Ignored by the
+	// fluid engine.
 	RTObserver metrics.Observer
+	// Knobs are the run options the trial executes under: time scale,
+	// root seed, tracing and sketch settings. Nil means the zero Options.
+	Knobs *Options
+}
+
+// noKnobs stands in for a config without run options.
+var noKnobs Options
+
+// knobs returns the trial's run options, never nil.
+func (cfg TrialConfig) knobs() *Options {
+	if cfg.Knobs == nil {
+		return &noKnobs
+	}
+	return cfg.Knobs
+}
+
+// seed is the trial's random seed: the explicit override, or one derived
+// from the experiment seed, the coordinates, the root seed and the
+// attempt index.
+func (cfg TrialConfig) seed(e *spec.Experiment, d *mulini.Deployment) uint64 {
+	if cfg.Seed != 0 {
+		return cfg.Seed
+	}
+	seed := deriveSeed(e.Seed, d.Topology.String(), cfg.Users, cfg.WriteRatioPct)
+	if root := cfg.knobs().Seed; root != 0 {
+		seed = mixRootSeed(seed, root, e.Name)
+	}
+	return mixAttempt(seed, cfg.Attempt)
+}
+
+// phases is the trial protocol's timing under time scale ts: warm-up,
+// measured run and cool-down lengths, and the user ramp-up (half the
+// warm-up, at most 10 s).
+func phases(e *spec.Experiment, ts float64) (warm, run, cool, rampUp float64) {
+	warm = e.Trial.WarmupSec * ts
+	run = e.Trial.RunSec * ts
+	cool = e.Trial.CooldownSec * ts
+	rampUp = min(warm/2, 10)
+	return warm, run, cool, rampUp
 }
 
 // TrialOutcome carries a trial's stored result plus the raw monitoring
@@ -121,18 +136,9 @@ func RunTrial(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement, cfg
 	default:
 		return nil, fmt.Errorf("experiment: unknown trial engine %q", cfg.Engine)
 	}
-	ts := cfg.TimeScale
-	if ts <= 0 {
-		ts = 1.0
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = deriveSeed(e.Seed, d.Topology.String(), cfg.Users, cfg.WriteRatioPct)
-		if cfg.RootSeed != 0 {
-			seed = mixRootSeed(seed, cfg.RootSeed, e.Name)
-		}
-		seed = mixAttempt(seed, cfg.Attempt)
-	}
+	knobs := cfg.knobs()
+	ts := knobs.timeScale()
+	seed := cfg.seed(e, d)
 
 	model, err := Model(e, cfg.WriteRatioPct)
 	if err != nil {
@@ -145,14 +151,7 @@ func RunTrial(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement, cfg
 		return nil, err
 	}
 
-	warm := e.Trial.WarmupSec * ts
-	run := e.Trial.RunSec * ts
-	cool := e.Trial.CooldownSec * ts
-
-	rampUp := warm / 2
-	if rampUp > 10 {
-		rampUp = 10
-	}
+	warm, run, cool, rampUp := phases(e, ts)
 	driver := sim.NewDriver(k, nt, model, sim.DriverConfig{
 		Users:       cfg.Users,
 		Timeout:     e.Workload.TimeoutSec,
@@ -165,8 +164,8 @@ func RunTrial(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement, cfg
 	// a pure function of the trial coordinates — identical for any worker
 	// count, and absent entirely when the rate is zero.
 	var tracer *trace.Collector
-	if cfg.TraceRate > 0 {
-		tracer = trace.NewCollector(trace.SeedFor(seed), cfg.TraceRate)
+	if knobs.TraceRate > 0 {
+		tracer = trace.NewCollector(trace.SeedFor(seed), knobs.TraceRate)
 		driver.SetTracer(tracer)
 	}
 
@@ -176,9 +175,9 @@ func RunTrial(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement, cfg
 	// pure function of the trial seed — so the sketch is byte-reproducible
 	// for any worker count.
 	var sketch *metrics.TDigest
-	if cfg.SketchRT || cfg.RTObserver != nil {
+	if knobs.SketchRT || cfg.RTObserver != nil {
 		var obs metrics.MultiObserver
-		if cfg.SketchRT {
+		if knobs.SketchRT {
 			sk := metrics.NewTDigest(metrics.DefaultTDigestCompression)
 			sketch = sk
 			obs = append(obs, metrics.ObserverFunc(func(rt float64) { sk.Observe(rt * 1000) }))
@@ -271,7 +270,7 @@ func RunTrial(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement, cfg
 		hooks.record(&res)
 	}
 	if tracer != nil {
-		res.Trace = trace.BuildReport(tracer, cfg.TraceExemplars)
+		res.Trace = trace.BuildReport(tracer, knobs.TraceExemplars)
 	}
 	return &TrialOutcome{Result: res, Monitor: mon, RunWindow: [2]float64{runStart, runEnd}}, nil
 }
@@ -476,21 +475,9 @@ func assembleResult(e *spec.Experiment, d *mulini.Deployment, driver *sim.Driver
 
 	rts := driver.ResponseTimes()
 	dur := runEnd - runStart
-	res := store.Result{
-		Key: store.Key{
-			Experiment:    e.Name,
-			Topology:      d.Topology.String(),
-			Users:         cfg.Users,
-			WriteRatioPct: cfg.WriteRatioPct,
-		},
-		Engine:         cfg.Engine,
-		Requests:       int64(rts.Count()),
-		Errors:         driver.Errors(),
-		RunSeconds:     dur,
-		CollectedBytes: mon.CollectedBytes(),
-		TierCPU:        map[string]float64{},
-		HostCPU:        map[string]float64{},
-	}
+	res := newResult(e, d, mon, cfg, dur)
+	res.Requests = int64(rts.Count())
+	res.Errors = driver.Errors()
 	if rts.Count() > 0 {
 		res.AvgRTms = rts.Mean() * 1000
 		res.P50ms = rts.Percentile(50) * 1000
@@ -505,7 +492,6 @@ func assembleResult(e *spec.Experiment, d *mulini.Deployment, driver *sim.Driver
 			res.PerInteraction[name] = s.Mean() * 1000
 		}
 	}
-	res.FaultProfile = cfg.FaultProfile
 	if len(cfg.FaultPlan) > 0 {
 		res.FaultEvents = make([]string, len(cfg.FaultPlan))
 		for i, fe := range cfg.FaultPlan {
@@ -516,7 +502,33 @@ func assembleResult(e *spec.Experiment, d *mulini.Deployment, driver *sim.Driver
 
 	collectUtilization(&res, d, mon, hostOf,
 		func(role string) bool { return stationOf[role] != nil }, runStart, runEnd)
+	judge(&res)
+	return res
+}
 
+// newResult starts a trial's stored result: the grid key, the engine
+// tag, the fault profile, the run length and the monitoring volume. Both
+// engines assemble their results from it.
+func newResult(e *spec.Experiment, d *mulini.Deployment, mon *monitor.Monitor, cfg TrialConfig, dur float64) store.Result {
+	return store.Result{
+		Key: store.Key{
+			Experiment:    e.Name,
+			Topology:      d.Topology.String(),
+			Users:         cfg.Users,
+			WriteRatioPct: cfg.WriteRatioPct,
+		},
+		Engine:         cfg.Engine,
+		FaultProfile:   cfg.FaultProfile,
+		RunSeconds:     dur,
+		CollectedBytes: mon.CollectedBytes(),
+		TierCPU:        map[string]float64{},
+		HostCPU:        map[string]float64{},
+	}
+}
+
+// judge records a trial's completion verdict: a trial with no requests,
+// or with an error rate above FailureErrorRate, failed to complete.
+func judge(res *store.Result) {
 	total := res.Requests + res.Errors
 	switch {
 	case total == 0:
@@ -529,7 +541,6 @@ func assembleResult(e *spec.Experiment, d *mulini.Deployment, driver *sim.Driver
 	default:
 		res.Completed = true
 	}
-	return res
 }
 
 // collectUtilization aggregates the monitor's utilization series over the

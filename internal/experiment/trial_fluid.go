@@ -24,22 +24,13 @@ func runFluidTrial(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement
 	if len(e.Faults) > 0 || len(cfg.FaultPlan) > 0 {
 		return nil, fmt.Errorf("experiment: the fluid engine cannot emulate fault windows")
 	}
-	ts := cfg.TimeScale
-	if ts <= 0 {
-		ts = 1.0
-	}
+	ts := cfg.knobs().timeScale()
 	model, err := Model(e, cfg.WriteRatioPct)
 	if err != nil {
 		return nil, err
 	}
 
-	warm := e.Trial.WarmupSec * ts
-	run := e.Trial.RunSec * ts
-	cool := e.Trial.CooldownSec * ts
-	rampUp := warm / 2
-	if rampUp > 10 {
-		rampUp = 10
-	}
+	warm, run, cool, rampUp := phases(e, ts)
 
 	maxSessions := sessionCapacity(d, p)
 	sessions, refused := cfg.Users, 0
@@ -228,21 +219,9 @@ func assembleFluidResult(e *spec.Experiment, d *mulini.Deployment, solver *fluid
 
 	stats := solver.StatsBetween(snapA, snapB)
 	dur := runEnd - runStart
-	res := store.Result{
-		Key: store.Key{
-			Experiment:    e.Name,
-			Topology:      d.Topology.String(),
-			Users:         cfg.Users,
-			WriteRatioPct: cfg.WriteRatioPct,
-		},
-		Engine:         cfg.Engine,
-		Requests:       int64(math.Round(stats.Requests)),
-		Errors:         int64(math.Round(stats.Errors)),
-		RunSeconds:     dur,
-		CollectedBytes: mon.CollectedBytes(),
-		TierCPU:        map[string]float64{},
-		HostCPU:        map[string]float64{},
-	}
+	res := newResult(e, d, mon, cfg, dur)
+	res.Requests = int64(math.Round(stats.Requests))
+	res.Errors = int64(math.Round(stats.Errors))
 	if res.Requests > 0 {
 		res.AvgRTms = stats.MeanRTms
 		res.P50ms = stats.P50ms
@@ -257,7 +236,6 @@ func assembleFluidResult(e *spec.Experiment, d *mulini.Deployment, solver *fluid
 			res.PerInteraction[c.Name] = c.MeanMS
 		}
 	}
-	res.FaultProfile = cfg.FaultProfile
 
 	// Only roles of modelled tiers carry utilization (the client host is
 	// memory-only), matching the DES path's station-backed filter.
@@ -270,17 +248,6 @@ func assembleFluidResult(e *spec.Experiment, d *mulini.Deployment, solver *fluid
 	collectUtilization(&res, d, mon, hostOf,
 		func(role string) bool { return modelled[role] && hostOf[role] != "" }, runStart, runEnd)
 
-	total := res.Requests + res.Errors
-	switch {
-	case total == 0:
-		res.Completed = false
-		res.FailReason = "no requests completed during the run period"
-	case res.ErrorRate() > FailureErrorRate:
-		res.Completed = false
-		res.FailReason = fmt.Sprintf("error rate %.1f%% exceeds %.0f%%",
-			res.ErrorRate()*100, FailureErrorRate*100)
-	default:
-		res.Completed = true
-	}
+	judge(&res)
 	return res
 }

@@ -151,30 +151,41 @@ func (p *Sample) StdDev() float64 { return p.sum.StdDev() }
 // Summary returns the streaming summary of the recorded values.
 func (p *Sample) Summary() Summary { return p.sum }
 
-// Quantile returns the q-th quantile (0 <= q <= 1) using linear
-// interpolation between closest ranks. It returns 0 for an empty sample.
+// Quantile returns the q-th quantile of the recorded values; see
+// QuantileSorted for the estimator and its argument contract.
 func (p *Sample) Quantile(q float64) float64 {
-	if len(p.xs) == 0 {
-		return 0
-	}
 	if !p.sorted {
 		sort.Float64s(p.xs)
 		p.sorted = true
 	}
+	return QuantileSorted(p.xs, q)
+}
+
+// QuantileSorted returns the q-th quantile of the ascending values xs by
+// linear interpolation between closest ranks. q <= 0 gives the minimum,
+// q >= 1 the maximum, NaN q gives NaN, and an empty xs gives 0 — the
+// argument contract TDigest.Quantile shares.
+func QuantileSorted(xs []float64, q float64) float64 {
+	if math.IsNaN(q) {
+		return math.NaN()
+	}
+	if len(xs) == 0 {
+		return 0
+	}
 	if q <= 0 {
-		return p.xs[0]
+		return xs[0]
 	}
 	if q >= 1 {
-		return p.xs[len(p.xs)-1]
+		return xs[len(xs)-1]
 	}
-	pos := q * float64(len(p.xs)-1)
+	pos := q * float64(len(xs)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
-		return p.xs[lo]
+		return xs[lo]
 	}
 	frac := pos - float64(lo)
-	return p.xs[lo]*(1-frac) + p.xs[hi]*frac
+	return xs[lo]*(1-frac) + xs[hi]*frac
 }
 
 // Percentile is shorthand for Quantile(pct/100).

@@ -270,47 +270,36 @@ func TestTDigestWeightedAddEquivalence(t *testing.T) {
 	}
 }
 
-// TestTDigestVsHistogramDifferential: the two quantile estimators the
-// repo now carries must agree on the same stream: each within its own
-// documented error of the exact sample, hence within the sum of the two
-// windows of each other. Run across stream shapes at the report
+// TestTDigestVsSampleDifferential: the digest must agree with the exact
+// Sample's interpolated quantile on the same stream to within the value
+// width of its rank-error window. Run across stream shapes at the report
 // quantiles.
-func TestTDigestVsHistogramDifferential(t *testing.T) {
+func TestTDigestVsSampleDifferential(t *testing.T) {
 	for _, sg := range adversarialStreams {
 		rng := rand.New(rand.NewPCG(99, 0xbeef))
 		xs := sg.gen(rng, 20000)
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, x := range xs {
-			lo = math.Min(lo, x)
-			hi = math.Max(hi, x)
-		}
-		if hi <= lo {
-			hi = lo + 1
-		}
-		const buckets = 400
-		h := NewHistogram(lo, hi+1e-9, buckets)
+		exact := NewSample(len(xs))
 		d := NewTDigest(DefaultTDigestCompression)
 		for _, x := range xs {
-			h.Observe(x)
+			exact.Observe(x)
 			d.Observe(x)
 		}
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
-		width := (hi + 1e-9 - lo) / buckets
+		sorted := exact.Values()
 		for _, q := range []float64{0.5, 0.9, 0.99} {
-			// The histogram's error is one bucket width in value space;
-			// the digest's is ε(q) in rank space. Convert the digest's
-			// window to values and require the estimates within the sum.
+			// The digest's error is ε(q) in rank space; convert it to
+			// values and require the estimates within that window, plus
+			// the rounding of the Sample's a(1−f)+bf interpolation (it is
+			// not exact even for a = b).
 			n := len(sorted)
 			eps := d.RankError(q)
 			loRank := clampRank(int(math.Floor((q-eps)*float64(n))), n)
 			hiRank := clampRank(int(math.Ceil((q+eps)*float64(n)))-1, n)
 			window := sorted[hiRank] - sorted[loRank]
-			tol := window + width
-			dv, hv := d.Quantile(q), h.Quantile(q)
-			if diff := math.Abs(dv - hv); diff > tol {
-				t.Errorf("%s: q=%g sketch=%g histogram=%g differ by %g > tolerance %g",
-					sg.name, q, dv, hv, diff, tol)
+			dv, sv := d.Quantile(q), exact.Quantile(q)
+			window += 4 * math.Abs(sv) * 0x1p-52
+			if diff := math.Abs(dv - sv); diff > window {
+				t.Errorf("%s: q=%g sketch=%g sample=%g differ by %g > window %g",
+					sg.name, q, dv, sv, diff, window)
 			}
 		}
 	}

@@ -26,15 +26,15 @@ func TestTDigestEmpty(t *testing.T) {
 }
 
 func TestTDigestQuantileContract(t *testing.T) {
-	// The argument contract mirrors Histogram.Quantile: clamp out-of-range
-	// q, NaN in → NaN out.
+	// The argument contract mirrors the exact Sample's: clamp
+	// out-of-range q, NaN in → NaN out.
 	d := NewTDigest(100)
-	h := NewHistogram(0, 100, 50)
+	exact := NewSample(1000)
 	rng := rand.New(rand.NewPCG(7, 11))
 	for i := 0; i < 1000; i++ {
 		x := rng.Float64() * 100
 		d.Observe(x)
-		h.Observe(x)
+		exact.Observe(x)
 	}
 	if got, want := d.Quantile(-0.5), d.Quantile(0); got != want {
 		t.Errorf("Quantile(-0.5) = %g, want clamp to Quantile(0) = %g", got, want)
@@ -45,22 +45,22 @@ func TestTDigestQuantileContract(t *testing.T) {
 	if got := d.Quantile(math.NaN()); !math.IsNaN(got) {
 		t.Errorf("Quantile(NaN) = %g, want NaN", got)
 	}
-	// Histogram side of the same contract.
-	if got, want := h.Quantile(-0.5), h.Quantile(0); got != want {
-		t.Errorf("Histogram.Quantile(-0.5) = %g, want %g", got, want)
+	// Sample side of the same contract.
+	if got, want := exact.Quantile(-0.5), exact.Quantile(0); got != want {
+		t.Errorf("Sample.Quantile(-0.5) = %g, want %g", got, want)
 	}
-	if got, want := h.Quantile(1.5), h.Quantile(1); got != want {
-		t.Errorf("Histogram.Quantile(1.5) = %g, want %g", got, want)
+	if got, want := exact.Quantile(1.5), exact.Quantile(1); got != want {
+		t.Errorf("Sample.Quantile(1.5) = %g, want %g", got, want)
 	}
-	if got := h.Quantile(math.NaN()); !math.IsNaN(got) {
-		t.Errorf("Histogram.Quantile(NaN) = %g, want NaN", got)
+	if got := exact.Quantile(math.NaN()); !math.IsNaN(got) {
+		t.Errorf("Sample.Quantile(NaN) = %g, want NaN", got)
 	}
-	empty := NewHistogram(0, 1, 4)
+	empty := NewSample(4)
 	if got := empty.Quantile(math.NaN()); !math.IsNaN(got) {
-		t.Errorf("empty Histogram.Quantile(NaN) = %g, want NaN", got)
+		t.Errorf("empty Sample.Quantile(NaN) = %g, want NaN", got)
 	}
 	if got := empty.Quantile(0.5); got != 0 {
-		t.Errorf("empty Histogram.Quantile(0.5) = %g, want 0", got)
+		t.Errorf("empty Sample.Quantile(0.5) = %g, want 0", got)
 	}
 }
 
