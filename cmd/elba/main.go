@@ -13,6 +13,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -278,11 +279,7 @@ func run(args []string) error {
 	}
 
 	if *jsonOut != "" {
-		data, err := c.Results().MarshalJSON()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
+		if err := writeStoreJSON(*jsonOut, c.Results()); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s (%d results)\n", *jsonOut, c.Results().Len())
@@ -294,6 +291,24 @@ func run(args []string) error {
 		fmt.Printf("wrote %s\n", *csvOut)
 	}
 	return nil
+}
+
+// writeStoreJSON streams the result store's canonical JSON into path.
+func writeStoreJSON(path string, st *store.Store) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	if err := st.WriteJSON(w); err != nil {
+		f.Close()
+		return err
+	}
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func runScaleout(c *core.Characterizer, doc *spec.Document, sloMS float64, maxUsers int) error {

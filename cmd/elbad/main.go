@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"time"
 
 	"elba/internal/campaign"
 	"elba/internal/core"
@@ -67,5 +68,14 @@ func run(args []string) error {
 	defer svc.Close()
 
 	fmt.Printf("elbad listening on %s (%d workers)\n", *addr, *workers)
-	return http.ListenAndServe(*addr, newMux(svc))
+	return newHTTPServer(*addr, newMux(svc)).ListenAndServe()
+}
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so idle or trickling connections cannot pin server goroutines.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer builds the server elbad listens with.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }

@@ -322,3 +322,15 @@ func TestFlagValidation(t *testing.T) {
 		t.Fatalf("negative -scalingthreshold accepted: %v", err)
 	}
 }
+
+// TestServerSetsReadHeaderTimeout: the server elbad listens with bounds
+// how long a client may take to send its headers.
+func TestServerSetsReadHeaderTimeout(t *testing.T) {
+	srv := newHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.ReadHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.Addr != "127.0.0.1:0" || srv.Handler == nil {
+		t.Fatalf("server = %+v", srv)
+	}
+}

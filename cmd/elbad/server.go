@@ -160,13 +160,13 @@ func (s *server) results(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, err)
 		return
 	}
-	data, err := st.MarshalJSON()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
+	if err := st.WriteJSON(w); err != nil {
+		// The status line went out with the first result, so abort the
+		// connection: the client then sees a failed transfer rather than
+		// a short body under 200.
+		panic(http.ErrAbortHandler)
+	}
 }
 
 func (s *server) resultsCSV(w http.ResponseWriter, r *http.Request) {

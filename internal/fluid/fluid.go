@@ -138,15 +138,14 @@ type tierState struct {
 	done0                               float64
 }
 
-// classDist is one class's response-time distribution: a sum of
-// independent exponential stages (web CPU, app CPU, db CPU — a
-// max-of-replicas hypoexponential for writes) shifted by the deterministic
-// legs and the window's measured queueing delay.
+// classDist is one class's service-only response-time distribution: a
+// sum of independent exponential stages (web CPU, app CPU, db CPU — a
+// max-of-replicas hypoexponential for writes), to be shifted by the
+// deterministic legs and extended by the window's queueing delay.
 type classDist struct {
 	name    string
 	weight  float64
 	rates   []float64 // distinct exponential stage rates
-	alphas  []float64 // hypoexponential CDF coefficients
 	expMean float64   // Σ 1/rate
 }
 
@@ -162,6 +161,7 @@ type Solver struct {
 	tiers   [numTiers]tierState
 	classes []classDist
 	detSvc  float64 // deterministic leg latency shared by every class
+	win     mixture // the last window's response distribution, reused
 
 	entered       float64 // admitted sessions ramped in so far
 	refusedActive float64 // refused sessions ramped in so far
@@ -353,7 +353,8 @@ func (s *Solver) deriveTier(i int, spec TierSpec, classes []Class, wsum float64,
 }
 
 // deriveClasses builds each class's exponential-stage response
-// distribution and the shared deterministic leg latency.
+// distribution and the shared deterministic leg latency. The stage rates
+// of every class share one slab.
 func (s *Solver) deriveClasses(classes []Class, wsum float64, d int) {
 	s.detSvc = 0
 	for i := range s.tiers {
@@ -362,15 +363,15 @@ func (s *Solver) deriveClasses(classes []Class, wsum float64, d int) {
 	webSpeed := tierSpeed(s.cfg.Web)
 	appSpeed := tierSpeed(s.cfg.App)
 	dbSpeed := tierSpeed(s.cfg.DB)
+	slab := make([]float64, 0, len(classes)*(2+d))
 	for _, c := range classes {
 		if c.Weight <= 0 {
 			continue
 		}
-		cd := classDist{name: c.Name, weight: c.Weight / wsum}
-		var rates []float64
+		start := len(slab)
 		addStage := func(svc float64) {
 			if svc > 0 {
-				rates = append(rates, 1/svc)
+				slab = append(slab, 1/svc)
 			}
 		}
 		addStage(svcFor(c, TierWeb, s.cfg.Web.CPUScale, webSpeed))
@@ -381,14 +382,14 @@ func (s *Solver) deriveClasses(classes []Class, wsum float64, d int) {
 				// max of d iid Exp(μ) = hypoexponential with rates dμ … μ.
 				mu := 1 / dbSvc
 				for k := d; k >= 1; k-- {
-					rates = append(rates, float64(k)*mu)
+					slab = append(slab, float64(k)*mu)
 				}
 			} else {
-				rates = append(rates, 1/dbSvc)
+				slab = append(slab, 1/dbSvc)
 			}
 		}
-		cd.rates = distinctRates(rates)
-		cd.alphas = hypoAlphas(cd.rates)
+		cd := classDist{name: c.Name, weight: c.Weight / wsum, rates: slab[start:len(slab):len(slab)]}
+		perturbDistinct(cd.rates)
 		for _, r := range cd.rates {
 			cd.expMean += 1 / r
 		}
@@ -415,27 +416,24 @@ func harmonic(d int) float64 {
 	return h
 }
 
-// distinctRates deterministically perturbs duplicate stage rates apart so
-// the closed-form hypoexponential CDF (which requires distinct rates)
-// stays well conditioned. The perturbation is a pure function of the
-// input order.
-func distinctRates(rates []float64) []float64 {
-	out := append([]float64(nil), rates...)
-	for i := 1; i < len(out); i++ {
+// perturbDistinct deterministically perturbs duplicate stage rates apart,
+// in place, so the closed-form hypoexponential CDF (which requires
+// distinct rates) stays well conditioned. The perturbation is a pure
+// function of the input order.
+func perturbDistinct(rates []float64) {
+	for i := 1; i < len(rates); i++ {
 		for j := 0; j < i; j++ {
-			if rel := math.Abs(out[i]-out[j]) / math.Max(out[i], out[j]); rel < 1e-9 {
-				out[i] *= 1 + 1e-6*float64(i+1)
+			if rel := math.Abs(rates[i]-rates[j]) / math.Max(rates[i], rates[j]); rel < 1e-9 {
+				rates[i] *= 1 + 1e-6*float64(i+1)
 				j = -1 // restart against earlier entries
 			}
 		}
 	}
-	return out
 }
 
-// hypoAlphas returns the coefficients of the hypoexponential CDF
-// F(t) = 1 − Σ αᵢ e^(−λᵢ t) for distinct rates λ.
-func hypoAlphas(rates []float64) []float64 {
-	alphas := make([]float64, len(rates))
+// fillHypoAlphas writes the coefficients of the hypoexponential CDF
+// F(t) = 1 − Σ αᵢ e^(−λᵢ t) for distinct rates λ into alphas.
+func fillHypoAlphas(alphas, rates []float64) {
 	for i, li := range rates {
 		a := 1.0
 		for j, lj := range rates {
@@ -445,29 +443,6 @@ func hypoAlphas(rates []float64) []float64 {
 		}
 		alphas[i] = a
 	}
-	return alphas
-}
-
-// hypoCDF evaluates the hypoexponential CDF at x ≥ 0. An empty stage list
-// is a point mass at zero.
-func hypoCDF(rates, alphas []float64, x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	if len(rates) == 0 {
-		return 1
-	}
-	f := 1.0
-	for i, r := range rates {
-		f -= alphas[i] * math.Exp(-r*x)
-	}
-	if f < 0 {
-		return 0
-	}
-	if f > 1 {
-		return 1
-	}
-	return f
 }
 
 // erlangCWait is the M/M/c mean queueing delay at per-node arrival rate
@@ -824,11 +799,11 @@ func (s *Solver) StatsBetween(a, b Snapshot) Stats {
 		pWait[i] = p
 	}
 	shift := s.detSvc
-	classes := s.windowClasses(st.TierWaitSec, pWait, lam)
+	mix := s.windowMixture(st.TierWaitSec, pWait, lam)
 
 	timeoutFrac := 0.0
 	if to := s.cfg.TimeoutSec; to > 0 {
-		timeoutFrac = 1 - mixtureCDF(classes, to-shift)
+		timeoutFrac = 1 - mix.cdf(to-shift)
 		// Branch weights sum to 1 only within float rounding; scrub the
 		// resulting dust so sub-knee windows report exactly zero.
 		if timeoutFrac < 1e-12 {
@@ -845,6 +820,7 @@ func (s *Solver) StatsBetween(a, b Snapshot) Stats {
 		sumW += w
 	}
 	mean := shift + sumW
+	st.PerClass = make([]ClassMean, 0, len(s.classes))
 	for _, c := range s.classes {
 		mean += c.weight * c.expMean
 		st.PerClass = append(st.PerClass, ClassMean{
@@ -852,9 +828,9 @@ func (s *Solver) StatsBetween(a, b Snapshot) Stats {
 		})
 	}
 	st.MeanRTms = mean * 1000
-	st.P50ms = (shift + mixtureQuantile(classes, 0.50)) * 1000
-	st.P90ms = (shift + mixtureQuantile(classes, 0.90)) * 1000
-	st.P99ms = (shift + mixtureQuantile(classes, 0.99)) * 1000
+	st.P50ms = (shift + mix.quantile(0.50)) * 1000
+	st.P90ms = (shift + mix.quantile(0.90)) * 1000
+	st.P99ms = (shift + mix.quantile(0.99)) * 1000
 	n := math.Round(comps)
 	if n < 1 {
 		n = 1
@@ -863,20 +839,20 @@ func (s *Solver) StatsBetween(a, b Snapshot) Stats {
 	if pMax > 1-1e-12 {
 		pMax = 1 - 1e-12
 	}
-	st.MaxRTms = (shift + mixtureQuantile(classes, pMax)) * 1000
+	st.MaxRTms = (shift + mix.quantile(pMax)) * 1000
 	return st
 }
 
-// windowClasses folds the window's per-tier mean waits into each class
+// windowMixture folds the window's per-tier mean waits into each class
 // distribution. A tier's wait is an atom-at-zero mixture — with
 // probability pWait the arrival queues for an exponential conditional
 // wait of mean W/pWait, otherwise it starts service immediately — so the
 // per-class distribution expands into one hypoexponential branch per
-// subset of tiers that imposed a wait. Zero-wait windows reuse the
-// precomputed service-only distributions unchanged.
-func (s *Solver) windowClasses(waits, pWait [numTiers]float64, lam float64) []classDist {
-	var waitStages [][]float64 // conditional-wait stage rates per waiting tier
-	var waitProb []float64
+// subset of tiers that imposed a wait. Zero-wait windows use the
+// service-only distributions unchanged.
+func (s *Solver) windowMixture(waits, pWait [numTiers]float64, lam float64) *mixture {
+	var stages [numTiers]waitStage
+	k := 0
 	for i, w := range waits {
 		if w > 1e-12 {
 			// Conditional-wait shape: an arrival that waits drains the
@@ -884,38 +860,25 @@ func (s *Solver) windowClasses(waits, pWait [numTiers]float64, lam float64) []cl
 			// (open M/M/1, geometrically distributed queue) toward Erlang
 			// (deterministic queue). The closed network sits between the
 			// two; half-strength matches the DES across the sweep range.
-			waitStages = append(waitStages, waitDist(w/pWait[i], 1+lam*w/pWait[i]/4))
-			waitProb = append(waitProb, pWait[i])
+			stages[k] = waitDist(w/pWait[i], 1+lam*w/pWait[i]/4)
+			stages[k].p = pWait[i]
+			k++
 		}
 	}
-	if len(waitStages) == 0 {
-		return s.classes
-	}
-	out := make([]classDist, 0, len(s.classes)*(1<<len(waitStages)))
-	for _, c := range s.classes {
-		for sub := 0; sub < 1<<len(waitStages); sub++ {
-			weight := c.weight
-			rates := append([]float64(nil), c.rates...)
-			for j := range waitStages {
-				if sub&(1<<j) != 0 {
-					weight *= waitProb[j]
-					rates = append(rates, waitStages[j]...)
-				} else {
-					weight *= 1 - waitProb[j]
-				}
-			}
-			if weight <= 0 {
-				continue
-			}
-			rates = distinctRates(rates)
-			cd := classDist{name: c.name, weight: weight, rates: rates, alphas: hypoAlphas(rates)}
-			for _, r := range rates {
-				cd.expMean += 1 / r
-			}
-			out = append(out, cd)
-		}
-	}
-	return out
+	s.win.build(s.classes, stages[:k])
+	return &s.win
+}
+
+// maxWaitStages caps the Erlang-like stage count of one tier's wait.
+const maxWaitStages = 8
+
+// waitStage is one waiting tier's contribution to the window mixture:
+// the probability an arrival waits there, and its conditional wait as
+// exponential stage rates.
+type waitStage struct {
+	p     float64
+	n     int
+	rates [maxWaitStages]float64
 }
 
 // waitDist shapes one tier's conditional wait: mean m with squared
@@ -923,14 +886,17 @@ func (s *Solver) windowClasses(waits, pWait [numTiers]float64, lam float64) []cl
 // jobs an arrival finds ahead of it (a deep queue drains as a sum of
 // services — Erlang — while a mostly-empty one is memoryless). Returned
 // as exponential stage rates for the hypoexponential machinery.
-func waitDist(m, shape float64) []float64 {
+func waitDist(m, shape float64) waitStage {
+	var ws waitStage
 	switch {
 	case shape <= 1+1e-9:
-		return []float64{1 / m}
+		ws.n = 1
+		ws.rates[0] = 1 / m
 	case shape < 2:
 		// Two stages matching mean m and CV² = 1/shape exactly.
 		d := math.Sqrt(2/shape - 1)
-		return []float64{2 / (m * (1 + d)), 2 / (m * (1 - d))}
+		ws.n = 2
+		ws.rates[0], ws.rates[1] = 2/(m*(1+d)), 2/(m*(1-d))
 	default:
 		// Erlang-like: k stages with means spread linearly ±20% around
 		// m/k. Equal rates would make the hypoexponential alphas blow up
@@ -938,10 +904,11 @@ func waitDist(m, shape float64) []float64 {
 		// well conditioned while matching the mean exactly and the CV²
 		// closely.
 		k := int(math.Round(shape))
-		if k > 8 {
-			k = 8
+		if k > maxWaitStages {
+			k = maxWaitStages
 		}
-		rates := make([]float64, k)
+		ws.n = k
+		rates := ws.rates[:k]
 		var sum float64
 		for i := range rates {
 			f := 0.8 + 0.4*float64(i)/float64(k-1)
@@ -951,44 +918,179 @@ func waitDist(m, shape float64) []float64 {
 		for i := range rates {
 			rates[i] = sum / (rates[i] * m)
 		}
-		return rates
 	}
+	return ws
 }
 
-// mixtureCDF evaluates the class-weighted response-distribution CDF at x
-// (x relative to the shared deterministic shift).
-func mixtureCDF(classes []classDist, x float64) float64 {
+// mixture is a weighted mixture of hypoexponential branches laid out for
+// repeated CDF evaluation. Every branch's stage terms index one table of
+// the distinct rates across all branches, so one CDF evaluation computes
+// one exponential per distinct rate rather than one per term. The slabs
+// belong to the Solver and are reused window after window.
+type mixture struct {
+	branches []branch
+	alphas   []float64 // per-term CDF coefficients, branch after branch
+	idx      []int32   // per-term index into rates
+	rates    []float64 // distinct stage rates
+	exps     []float64 // exps[u] = e^(−rates[u]·x) at the x being evaluated
+	evals    int       // CDF evaluations so far, for benchmarks
+}
+
+// branch is one hypoexponential component of a mixture; its terms are
+// alphas[start:end] and idx[start:end]. A branch without terms is a point
+// mass at zero.
+type branch struct {
+	weight     float64
+	expMean    float64 // Σ 1/rate
+	start, end int
+}
+
+// build lays out one branch per class and subset of the waiting tiers.
+// The branch's stage rates are the class's followed by each waiting
+// tier's in order, perturbed apart; a branch of zero weight is dropped
+// unless no tier waits.
+func (m *mixture) build(classes []classDist, waits []waitStage) {
+	subsets := 1 << len(waits)
+	nb, nt := 0, 0
+	for _, c := range classes {
+		for sub := 0; sub < subsets; sub++ {
+			if len(waits) > 0 && subsetWeight(c.weight, waits, sub) <= 0 {
+				continue
+			}
+			nb++
+			nt += len(c.rates)
+			for j := range waits {
+				if sub&(1<<j) != 0 {
+					nt += waits[j].n
+				}
+			}
+		}
+	}
+	m.branches = resize(m.branches, nb)
+	m.alphas = resize(m.alphas, nt)
+	m.idx = resize(m.idx, nt)
+	// rates first holds every term's rate; interning then compacts the
+	// distinct ones into its front, never past the term being read.
+	m.rates = resize(m.rates, nt)
+	b, t, u := 0, 0, 0
+	for _, c := range classes {
+		for sub := 0; sub < subsets; sub++ {
+			w := subsetWeight(c.weight, waits, sub)
+			if len(waits) > 0 && w <= 0 {
+				continue
+			}
+			br := branch{weight: w, start: t}
+			t += copy(m.rates[t:], c.rates)
+			for j := range waits {
+				if sub&(1<<j) != 0 {
+					t += copy(m.rates[t:], waits[j].rates[:waits[j].n])
+				}
+			}
+			br.end = t
+			terms := m.rates[br.start:t]
+			perturbDistinct(terms)
+			fillHypoAlphas(m.alphas[br.start:t], terms)
+			for i := br.start; i < t; i++ {
+				r := m.rates[i]
+				br.expMean += 1 / r
+				v := 0
+				for v < u && m.rates[v] != r {
+					v++
+				}
+				if v == u {
+					m.rates[u] = r
+					u++
+				}
+				m.idx[i] = int32(v)
+			}
+			m.branches[b] = br
+			b++
+		}
+	}
+	m.rates = m.rates[:u]
+	m.exps = resize(m.exps, u)
+}
+
+// subsetWeight is a class branch's weight: the class weight times, per
+// waiting tier, the probability of waiting there (in sub) or not.
+func subsetWeight(weight float64, waits []waitStage, sub int) float64 {
+	for j := range waits {
+		if sub&(1<<j) != 0 {
+			weight *= waits[j].p
+		} else {
+			weight *= 1 - waits[j].p
+		}
+	}
+	return weight
+}
+
+// resize returns buf with length n, reusing its array when large enough
+// and otherwise allocating exactly n.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// cdf evaluates the mixture CDF at x (x relative to the shared
+// deterministic shift). Each branch is the hypoexponential CDF
+// 1 − Σ αᵢ e^(−λᵢ x) clamped to [0, 1].
+func (m *mixture) cdf(x float64) float64 {
+	m.evals++
 	if x <= 0 {
 		return 0
 	}
+	for u, r := range m.rates {
+		m.exps[u] = math.Exp(-r * x)
+	}
 	f := 0.0
-	for _, c := range classes {
-		f += c.weight * hypoCDF(c.rates, c.alphas, x)
+	exps := m.exps
+	for _, b := range m.branches {
+		h := 1.0
+		idx := m.idx[b.start:b.end]
+		for i, a := range m.alphas[b.start:b.end] {
+			h -= a * exps[idx[i]]
+		}
+		if h < 0 {
+			h = 0
+		} else if h > 1 {
+			h = 1
+		}
+		f += b.weight * h
 	}
 	return f
 }
 
-// mixtureQuantile inverts the mixture CDF by bisection. Deterministic:
-// fixed doubling and iteration counts.
-func mixtureQuantile(classes []classDist, p float64) float64 {
+// quantile inverts the mixture CDF by bisection. Deterministic: fixed
+// doubling and iteration caps. A bisection step is a pure function of
+// (lo, hi), so once one leaves them unchanged every later step would too,
+// and stopping there returns the same bits as running all 100.
+func (m *mixture) quantile(p float64) float64 {
 	if p <= 0 {
 		return 0
 	}
 	hi := 1e-6
-	for _, c := range classes {
-		if m := c.expMean * 4; m > hi {
-			hi = m
+	for _, b := range m.branches {
+		if v := b.expMean * 4; v > hi {
+			hi = v
 		}
 	}
-	for i := 0; i < 200 && mixtureCDF(classes, hi) < p; i++ {
+	for i := 0; i < 200 && m.cdf(hi) < p; i++ {
 		hi *= 2
 	}
 	lo := 0.0
 	for i := 0; i < 100; i++ {
 		mid := (lo + hi) / 2
-		if mixtureCDF(classes, mid) < p {
+		if m.cdf(mid) < p {
+			if lo == mid {
+				break
+			}
 			lo = mid
 		} else {
+			if hi == mid {
+				break
+			}
 			hi = mid
 		}
 	}

@@ -7,11 +7,13 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 
 	"elba/internal/metrics"
 	"elba/internal/trace"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -426,11 +428,47 @@ func (s *Store) sortedResults() []*Result {
 	return out
 }
 
-// MarshalJSON serializes the whole store in canonical key order.
+// MarshalJSON serializes the whole store in canonical key order. The
+// bytes are an exactly sized copy, so a caller that keeps them does not
+// also keep the encoding buffer's spare capacity alive.
 func (s *Store) MarshalJSON() ([]byte, error) {
+	var b bytes.Buffer
+	if err := s.WriteJSON(&b); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(b.Bytes()), nil
+}
+
+// WriteJSON streams the store to w in canonical key order, one result at
+// a time, producing exactly the bytes of json.MarshalIndent over the
+// sorted results with a two-space indent. Encoding result by result keeps
+// the encoder's scratch buffers the size of one result rather than the
+// whole store. The store's read lock is held until the last byte is
+// written.
+func (s *Store) WriteJSON(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return json.MarshalIndent(s.sortedResults(), "", "  ")
+	rs := s.sortedResults()
+	if len(rs) == 0 {
+		_, err := io.WriteString(w, "[]")
+		return err
+	}
+	sep := "[\n  "
+	for _, r := range rs {
+		data, err := json.MarshalIndent(r, "  ", "  ")
+		if err != nil {
+			return err
+		}
+		if _, err := io.WriteString(w, sep); err != nil {
+			return err
+		}
+		if _, err := w.Write(data); err != nil {
+			return err
+		}
+		sep = ",\n  "
+	}
+	_, err := io.WriteString(w, "\n]")
+	return err
 }
 
 // LoadJSON replaces the store's contents with serialized results.

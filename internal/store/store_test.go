@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -236,5 +237,53 @@ func TestSurfaceCorrelation(t *testing.T) {
 	}
 	if r < 0.999 {
 		t.Fatalf("correlation = %g, want ≈1", r)
+	}
+}
+
+// TestWriteJSONMatchesMarshalIndent: streaming the store result by result
+// produces exactly the bytes of indenting the whole sorted slice at once,
+// for an empty store, a single result and a full scale-out campaign,
+// with nested maps, omitted nil maps, nested structs and names the
+// encoder HTML-escapes.
+func TestWriteJSONMatchesMarshalIndent(t *testing.T) {
+	for _, n := range []int{0, 1, 150} {
+		s := New()
+		for i := 0; i < n; i++ {
+			r := mkResult(fmt.Sprintf("1-%d-%d", i%8+1, i%2+1), 100+10*i, 15, float64(i)*1.25+0.1, i%4 != 0)
+			switch i % 3 {
+			case 0:
+				r.TierCPU = nil // omitted entirely
+			case 1:
+				r.Engine = "fluid"
+				r.PerInteraction = map[string]float64{"Browse<Items>": 12.5, "Bid&Buy": float64(i) / 3, "About\"Me\"": 0}
+				r.ScaleEvents = []ScaleEvent{{TSec: 1.5, Tier: "app", From: 1, To: 2}}
+			default:
+				r.Key.Experiment = "exp<&>"
+				r.FailReason = "overload </script>"
+				r.SLOViolatedAt = []float64{0, 2.5}
+			}
+			s.Put(r)
+		}
+		if s.Len() != n {
+			t.Fatalf("stored %d results, want %d", s.Len(), n)
+		}
+		want, err := json.MarshalIndent(s.sortedResults(), "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := s.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != string(want) {
+			t.Fatalf("%d results: WriteJSON differs from MarshalIndent\n got: %.400q\nwant: %.400q", n, b.String(), want)
+		}
+		got, err := s.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("%d results: MarshalJSON differs from MarshalIndent", n)
+		}
 	}
 }
