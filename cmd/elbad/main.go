@@ -13,10 +13,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"elba/internal/campaign"
@@ -24,13 +28,20 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:])
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "elbad:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run serves until ctx is cancelled, then shuts down gracefully: the
+// listener closes, in-flight requests get shutdownTimeout to finish, and
+// the service cancels and drains its campaigns, flushing their result
+// logs. A cancelled run returns nil.
+func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("elbad", flag.ContinueOnError)
 	knobs := core.Flags(fs)
 	addr := fs.String("addr", ":8080", "listen address")
@@ -67,9 +78,32 @@ func run(args []string) error {
 	})
 	defer svc.Close()
 
-	fmt.Printf("elbad listening on %s (%d workers)\n", *addr, *workers)
-	return newHTTPServer(*addr, newMux(svc)).ListenAndServe()
+	srv := newHTTPServer(*addr, newMux(svc))
+	ln, err := net.Listen("tcp", srv.Addr)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("elbad listening on %s (%d workers)\n", ln.Addr(), *workers)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	sctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), shutdownTimeout)
+	defer cancel()
+	if err := srv.Shutdown(sctx); err != nil {
+		// Connections still open at the deadline, such as event streams
+		// of running campaigns, are dropped.
+		srv.Close()
+	}
+	<-served // Serve returns ErrServerClosed once the server is shut down
+	return nil
 }
+
+// shutdownTimeout bounds how long a shutdown waits for in-flight requests.
+const shutdownTimeout = 10 * time.Second
 
 // readHeaderTimeout bounds how long a client may take to send its request
 // headers, so idle or trickling connections cannot pin server goroutines.

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -310,16 +312,61 @@ func TestHealthz(t *testing.T) {
 // TestFlagValidation exercises the CLI's argument checking without
 // binding a listener.
 func TestFlagValidation(t *testing.T) {
-	if err := run([]string{"-scaling", "warp"}); err == nil ||
+	if err := run(context.Background(), []string{"-scaling", "warp"}); err == nil ||
 		!strings.Contains(err.Error(), "-scaling") {
 		t.Fatalf("bad -scaling accepted: %v", err)
 	}
-	if err := run([]string{"-faults", "apocalyptic", "-addr", "127.0.0.1:0"}); err == nil {
+	if err := run(context.Background(), []string{"-faults", "apocalyptic", "-addr", "127.0.0.1:0"}); err == nil {
 		t.Fatal("unknown fault profile accepted")
 	}
-	if err := run([]string{"-scalingthreshold", "-5", "-addr", "127.0.0.1:0"}); err == nil ||
+	if err := run(context.Background(), []string{"-scalingthreshold", "-5", "-addr", "127.0.0.1:0"}); err == nil ||
 		!strings.Contains(err.Error(), "-scalingthreshold") {
 		t.Fatalf("negative -scalingthreshold accepted: %v", err)
+	}
+}
+
+// TestRunShutsDownOnCancel: once the daemon serves, cancelling run's
+// context stops the listener and drains the service, and run returns nil
+// promptly.
+func TestRunShutsDownOnCancel(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, []string{"-addr", addr}) }()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		resp, err := http.Get("http://" + addr + "/healthz")
+		if err == nil {
+			resp.Body.Close()
+			break
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("run returned before cancellation: %v", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon not serving on %s: %v", addr, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("cancelled run returned %v, want nil", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("run did not return within 5s of cancellation")
+	}
+	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
+		t.Fatal("daemon still serving after shutdown")
 	}
 }
 

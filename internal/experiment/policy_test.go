@@ -9,10 +9,12 @@ import (
 	"elba/internal/store"
 )
 
-// fakeActuator is a scaleActuator over plain counters, with an optional
-// hard ceiling that models spare-pool exhaustion: Scale stops at the
-// ceiling no matter what target the policy asked for.
+// fakeActuator is an engine whose Replicas and Scale run over plain
+// counters, with an optional hard ceiling that models spare-pool
+// exhaustion: Scale stops at the ceiling no matter what target the policy
+// asked for. Policies call no other engine method.
 type fakeActuator struct {
+	engine
 	replicas [expr.NumTiers]int
 	ceiling  int // 0 = unlimited
 }
@@ -29,9 +31,9 @@ func (f *fakeActuator) Scale(tier, target int) int {
 	return f.replicas[tier]
 }
 
-// policyHooks compiles a policies-only experiment into exprHooks wired to
-// the given actuator, mirroring what a trial does before its first window.
-func policyHooks(t *testing.T, act scaleActuator, pols ...spec.Policy) *exprHooks {
+// policyHooks compiles a policies-only experiment into exprHooks, as a
+// trial does before its first window.
+func policyHooks(t *testing.T, pols ...spec.Policy) *exprHooks {
 	t.Helper()
 	h, err := newExprHooks(&spec.Experiment{Policies: pols}, 0, 600, 1, 5, 0)
 	if err != nil {
@@ -40,7 +42,6 @@ func policyHooks(t *testing.T, act scaleActuator, pols ...spec.Policy) *exprHook
 	if h == nil {
 		t.Fatal("policies compiled to nil hooks")
 	}
-	h.actuator = act
 	return h
 }
 
@@ -59,13 +60,13 @@ func hotEnv(tSec float64) expr.Env {
 func TestPolicyCooldownPacing(t *testing.T) {
 	act := &fakeActuator{}
 	act.replicas[expr.TierApp] = 2
-	h := policyHooks(t, act, spec.Policy{
+	h := policyHooks(t, spec.Policy{
 		Tier: "app", Delta: 1, WhenExpr: "util(app, cpu) > 0.8",
 		CooldownSec: 30, Max: 12,
 	})
 	for tSec := 0.0; tSec <= 100; tSec += 5 {
 		env := hotEnv(tSec)
-		h.applyPolicies(&env)
+		h.applyPolicies(&env, act)
 	}
 	// Firings at t=0, 30, 60, 90: four steps, 2→3→4→5→6.
 	want := []store.ScaleEvent{
@@ -95,13 +96,13 @@ func TestPolicyCooldownPacing(t *testing.T) {
 func TestPolicyBoundIsNotAFiring(t *testing.T) {
 	act := &fakeActuator{}
 	act.replicas[expr.TierApp] = 4
-	h := policyHooks(t, act, spec.Policy{
+	h := policyHooks(t, spec.Policy{
 		Tier: "app", Delta: 1, WhenExpr: "util(app, cpu) > 0.8",
 		CooldownSec: 60, Max: 4,
 	})
 	for tSec := 0.0; tSec <= 20; tSec += 5 {
 		env := hotEnv(tSec)
-		h.applyPolicies(&env)
+		h.applyPolicies(&env, act)
 	}
 	if len(h.scaleEvents) != 0 {
 		t.Fatalf("at-max windows fired: %v", h.scaleEvents)
@@ -109,7 +110,7 @@ func TestPolicyBoundIsNotAFiring(t *testing.T) {
 	// Free a slot out of band; the next window must fire immediately.
 	act.replicas[expr.TierApp] = 3
 	env := hotEnv(25)
-	h.applyPolicies(&env)
+	h.applyPolicies(&env, act)
 	if len(h.scaleEvents) != 1 || h.scaleEvents[0].TSec != 25 {
 		t.Fatalf("after headroom appeared, events = %v, want one firing at t=25", h.scaleEvents)
 	}
@@ -121,18 +122,18 @@ func TestPolicyBoundIsNotAFiring(t *testing.T) {
 func TestPolicyShortfallIsNotAFiring(t *testing.T) {
 	act := &fakeActuator{ceiling: 2}
 	act.replicas[expr.TierApp] = 2
-	h := policyHooks(t, act, spec.Policy{
+	h := policyHooks(t, spec.Policy{
 		Tier: "app", Delta: 1, WhenExpr: "util(app, cpu) > 0.8",
 		CooldownSec: 60, Max: 8,
 	})
 	env := hotEnv(0)
-	h.applyPolicies(&env)
+	h.applyPolicies(&env, act)
 	if len(h.scaleEvents) != 0 {
 		t.Fatalf("pool-exhausted window fired: %v", h.scaleEvents)
 	}
 	act.ceiling = 0
 	env = hotEnv(5)
-	h.applyPolicies(&env)
+	h.applyPolicies(&env, act)
 	if len(h.scaleEvents) != 1 || h.scaleEvents[0].TSec != 5 {
 		t.Fatalf("after pool refill, events = %v, want one firing at t=5", h.scaleEvents)
 	}
@@ -144,13 +145,13 @@ func TestPolicyShortfallIsNotAFiring(t *testing.T) {
 func TestPolicyScaleInFloor(t *testing.T) {
 	act := &fakeActuator{}
 	act.replicas[expr.TierApp] = 5
-	h := policyHooks(t, act, spec.Policy{
+	h := policyHooks(t, spec.Policy{
 		Tier: "app", In: true, Delta: 2, WhenExpr: "util(app, cpu) < 0.3",
 		CooldownSec: 0, Min: 2,
 	})
 	for tSec := 0.0; tSec <= 20; tSec += 5 {
 		env := expr.Env{T: tSec} // idle: util 0 < 0.3
-		h.applyPolicies(&env)
+		h.applyPolicies(&env, act)
 	}
 	want := []store.ScaleEvent{
 		{TSec: 0, Tier: "app", From: 5, To: 3},
@@ -173,7 +174,7 @@ func TestPolicyScaleInFloor(t *testing.T) {
 func TestPolicyDeclarationOrder(t *testing.T) {
 	act := &fakeActuator{}
 	act.replicas[expr.TierApp] = 2
-	h := policyHooks(t, act,
+	h := policyHooks(t,
 		spec.Policy{Tier: "app", Delta: 2, WhenExpr: "util(app, cpu) > 0.8",
 			CooldownSec: 0, Max: 8},
 		spec.Policy{Tier: "app", Delta: 1, WhenExpr: "util(app, cpu) > 0.8 && replicas(app) < 4",
@@ -181,7 +182,7 @@ func TestPolicyDeclarationOrder(t *testing.T) {
 	)
 	env := hotEnv(0)
 	env.Replicas[expr.TierApp] = 2
-	h.applyPolicies(&env)
+	h.applyPolicies(&env, act)
 	// First policy 2→4; second's replicas(app) guard now reads 4 and holds fire.
 	if len(h.scaleEvents) != 1 || h.scaleEvents[0].To != 4 {
 		t.Fatalf("events = %v, want exactly [t=0s app 2→4]", h.scaleEvents)
@@ -196,11 +197,11 @@ func TestPolicyDeclarationOrder(t *testing.T) {
 func TestPolicyEventsRecorded(t *testing.T) {
 	act := &fakeActuator{}
 	act.replicas[expr.TierApp] = 2
-	h := policyHooks(t, act, spec.Policy{
+	h := policyHooks(t, spec.Policy{
 		Tier: "app", Delta: 1, WhenExpr: "util(app, cpu) > 0.8", Max: 4,
 	})
 	env := hotEnv(15)
-	h.applyPolicies(&env)
+	h.applyPolicies(&env, act)
 	var res store.Result
 	h.record(&res)
 	if len(res.ScaleEvents) != 1 {

@@ -7,61 +7,35 @@ import (
 	"elba/internal/cluster"
 	"elba/internal/deploy"
 	"elba/internal/expr"
-	"elba/internal/fluid"
 	"elba/internal/mulini"
 	"elba/internal/sim"
-	"elba/internal/spec"
 )
 
-// scaleActuator applies an autoscaling policy's replica-count change to
-// a running engine. Replicas reports a tier's current active count;
-// Scale moves it toward target and returns the count actually reached —
-// actuation can fall short when the spare pool is exhausted or the tier
-// is at its one-station floor, and a short fall does not consume the
-// policy's cooldown.
-type scaleActuator interface {
-	Replicas(tier int) int
-	Scale(tier, target int) int
-}
+// Autoscaling on a live DES trial. Scale-out allocates nodes from a
+// private per-trial spare pool — a cluster materialized from the tier's
+// own deployed hardware description, so an added station is an exact
+// clone of the tier's first node (cores, speed, spindle, link,
+// demand-gated resource queues, built by newStation) — and joins it to
+// the tier's balancer, which rebalances deterministically. Scale-in
+// retires stations LIFO; a station that came from the spare pool hands
+// its node back, so an oscillating policy re-allocates the same hardware
+// in the same order every run. The pool is sized by the policies' max
+// bounds at trial start, which is why validation requires a max on every
+// scale-out policy.
 
-// tierNames maps expr tier indices to TBL tier names.
-var tierNames = [expr.NumTiers]string{"web", "app", "db"}
-
-// desScaler actuates autoscaling on a live DES trial. Scale-out
-// allocates nodes from a private per-trial spare pool — a cluster
-// materialized from the tier's own deployed hardware description, so an
-// added station is an exact clone of the tier's first node (cores,
-// speed, spindle, link, demand-gated resource queues, mirroring
-// buildNTier) — and joins it to the tier's balancer, which rebalances
-// deterministically. Scale-in retires stations LIFO; a station that came
-// from the spare pool hands its node back, so an oscillating policy
-// re-allocates the same hardware in the same order every run. The pool
-// is sized by the policies' max bounds at trial start, which is why
-// validation requires a max on every scale-out policy.
-type desScaler struct {
-	k      *sim.Kernel
-	nt     *sim.NTier
-	e      *spec.Experiment
-	spares [expr.NumTiers]*cluster.Cluster
-	nodeOf map[*sim.Station]*cluster.Node
-	serial [expr.NumTiers]int
-}
-
-// newDESScaler builds the per-trial spare pools for every tier a
+// buildSpares builds the per-trial spare pools for every tier a
 // scale-out policy can grow. Pools derive purely from the trial's
 // deployed placement and the spec's policies, so the whole actuation
 // path is a deterministic function of the trial coordinates.
-func newDESScaler(e *spec.Experiment, k *sim.Kernel, d *mulini.Deployment,
-	p *deploy.Placement, nt *sim.NTier) (*desScaler, error) {
-
-	s := &desScaler{k: k, nt: nt, e: e, nodeOf: map[*sim.Station]*cluster.Node{}}
+func (g *desEngine) buildSpares(d *mulini.Deployment, p *deploy.Placement) error {
+	g.nodeOf = map[*sim.Station]*cluster.Node{}
 	for ti, name := range tierNames {
 		head := 0
-		for _, pol := range e.Policies {
+		for _, pol := range g.e.Policies {
 			if pol.Tier != name || pol.In {
 				continue
 			}
-			if h := pol.Max - s.Replicas(ti); h > head {
+			if h := pol.Max - g.Replicas(ti); h > head {
 				head = h
 			}
 		}
@@ -70,11 +44,11 @@ func newDESScaler(e *spec.Experiment, k *sim.Kernel, d *mulini.Deployment,
 		}
 		roles := d.Roles(name)
 		if len(roles) == 0 {
-			return nil, fmt.Errorf("experiment: policy scales tier %s, absent from topology %s", name, d.Topology)
+			return fmt.Errorf("experiment: policy scales tier %s, absent from topology %s", name, d.Topology)
 		}
 		node, ok := p.Node(roles[0])
 		if !ok {
-			return nil, fmt.Errorf("experiment: role %s has no allocated node", roles[0])
+			return fmt.Errorf("experiment: role %s has no allocated node", roles[0])
 		}
 		pool := node.Pool()
 		pool.Name = "scale-" + name
@@ -82,81 +56,64 @@ func newDESScaler(e *spec.Experiment, k *sim.Kernel, d *mulini.Deployment,
 		pool.NodeCount = head
 		cl, err := cluster.New(cim.Platform{Name: "autoscale", Pools: []cim.NodePool{pool}})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		s.spares[ti] = cl
+		g.spares[ti] = cl
 	}
-	return s, nil
+	return nil
 }
 
 // Replicas reports a tier's active station count.
-func (s *desScaler) Replicas(tier int) int {
+func (g *desEngine) Replicas(tier int) int {
 	switch tier {
 	case expr.TierWeb:
-		return s.nt.Web.Size()
+		return g.nt.Web.Size()
 	case expr.TierApp:
-		return s.nt.App.Size()
+		return g.nt.App.Size()
 	default:
-		return s.nt.DB.Size()
+		return g.nt.DB.Size()
 	}
 }
 
 // Scale moves a tier's active count toward target one station at a time
 // and returns the count reached.
-func (s *desScaler) Scale(tier, target int) int {
-	for s.Replicas(tier) < target {
-		if !s.addOne(tier) {
+func (g *desEngine) Scale(tier, target int) int {
+	for g.Replicas(tier) < target {
+		if !g.addOne(tier) {
 			break
 		}
 	}
-	for s.Replicas(tier) > target {
-		if !s.removeOne(tier) {
+	for g.Replicas(tier) > target {
+		if !g.removeOne(tier) {
 			break
 		}
 	}
-	return s.Replicas(tier)
+	return g.Replicas(tier)
 }
 
 // addOne allocates a spare node and attaches a station built exactly the
-// way buildNTier builds the tier's original stations.
-func (s *desScaler) addOne(tier int) bool {
-	cl := s.spares[tier]
+// way the tier's original stations were.
+func (g *desEngine) addOne(tier int) bool {
+	cl := g.spares[tier]
 	if cl == nil {
 		return false
 	}
 	name := tierNames[tier]
-	role := fmt.Sprintf("%s-scale-%d", name, s.serial[tier]+1)
+	role := fmt.Sprintf("%s-scale-%d", name, g.serial[tier]+1)
 	node, err := cl.Allocate("", role)
 	if err != nil {
 		return false
 	}
-	s.serial[tier]++
-	td := s.e.Demands[name]
-	st := sim.NewStation(s.k, sim.StationConfig{
-		Name:    role,
-		Servers: node.Cores(),
-		Speed:   node.EffectiveSpeed(),
-	})
-	if td.DiskSec > 0 {
-		ds := node.EffectiveDiskSpeed()
-		if ds <= 0 {
-			ds = node.DiskSpeed()
-		}
-		st.AttachDisk(sim.NewResource(s.k, role+"/disk", ds))
-	}
-	if td.NetBytes > 0 {
-		if bps := node.NetBytesPerSec(); bps > 0 {
-			st.AttachNet(sim.NewResource(s.k, role+"/net", bps))
-		}
-	}
-	s.nodeOf[st] = node
+	g.serial[tier]++
+	st := newStation(g.k, role, node, g.e.Demands[name])
+	g.nodeOf[st] = node
 	switch tier {
 	case expr.TierWeb:
-		s.nt.Web.AddStation(st)
+		g.nt.Web.AddStation(st)
 	case expr.TierApp:
-		s.nt.App.AddStation(st)
+		g.nt.App.AddStation(st)
 	default:
-		s.nt.DB.AddReplica(st)
+		g.nt.DB.AddReplica(st)
 	}
 	return true
 }
@@ -166,36 +123,22 @@ func (s *desScaler) addOne(tier int) bool {
 // node the node is released for the next scale-out to re-allocate.
 // Originally deployed stations have no node to return — their hardware
 // belongs to the runner's cluster for the whole trial.
-func (s *desScaler) removeOne(tier int) bool {
+func (g *desEngine) removeOne(tier int) bool {
 	var st *sim.Station
 	switch tier {
 	case expr.TierWeb:
-		st = s.nt.Web.RemoveStation()
+		st = g.nt.Web.RemoveStation()
 	case expr.TierApp:
-		st = s.nt.App.RemoveStation()
+		st = g.nt.App.RemoveStation()
 	default:
-		st = s.nt.DB.RemoveReplica()
+		st = g.nt.DB.RemoveReplica()
 	}
 	if st == nil {
 		return false
 	}
-	if node, ok := s.nodeOf[st]; ok {
-		s.spares[tier].Release(node)
-		delete(s.nodeOf, st)
+	if node, ok := g.nodeOf[st]; ok {
+		g.spares[tier].Release(node)
+		delete(g.nodeOf, st)
 	}
 	return true
-}
-
-// fluidScaler actuates autoscaling on the fluid solver: SetTierNodes is
-// the tier-capacity analogue of SetSessions, cloning the tier's first
-// node spec for growth just as the DES side clones the tier's first
-// deployed node, so both engines scale onto identical hardware. No spare
-// pool is needed — validation already bounds targets by the policy max.
-type fluidScaler struct{ solver *fluid.Solver }
-
-func (f fluidScaler) Replicas(tier int) int { return f.solver.TierNodes(tier) }
-
-func (f fluidScaler) Scale(tier, target int) int {
-	f.solver.SetTierNodes(tier, target)
-	return f.solver.TierNodes(tier)
 }

@@ -3,7 +3,10 @@ package experiment
 import (
 	"fmt"
 
+	"elba/internal/bench"
+	"elba/internal/cluster"
 	"elba/internal/deploy"
+	"elba/internal/expr"
 	"elba/internal/fault"
 	"elba/internal/metrics"
 	"elba/internal/monitor"
@@ -11,7 +14,6 @@ import (
 	"elba/internal/sim"
 	"elba/internal/spec"
 	"elba/internal/store"
-	"elba/internal/trace"
 )
 
 // FailureErrorRate is the error fraction above which a trial is recorded
@@ -120,6 +122,55 @@ var memProfile = map[string]struct{ base, perJob float64 }{
 	"client": {120, 0.1},
 }
 
+// tierNames maps expr tier indices to TBL tier names.
+var tierNames = [expr.NumTiers]string{"web", "app", "db"}
+
+// engine is a trial's model of the testbed. RunTrial drives every engine
+// through the same observation protocol — start the population, warm up,
+// measure the run window by window, cool down, collect — so the engines
+// differ only in how they advance time and where their counters come
+// from. Tier indices are the expr package's.
+type engine interface {
+	// start launches the user population at time zero.
+	start()
+	// advance runs the model to kernel time t.
+	advance(t float64)
+	// beginRun opens the measured run, and its first observation window,
+	// at the current time.
+	beginRun()
+	// endRun closes the measured run the protocol scheduled to end at t.
+	endRun(t float64)
+	// counters is a deployed role's counter source for the monitor; nil
+	// for roles the engine does not model (the client).
+	counters(role, tier string, node *cluster.Node) monitor.Counters
+	// tierBusy reads a tier's cumulative busy-seconds per resource and the
+	// capacity a busy window divides by to give utilization.
+	tierBusy(tier int) (busy, capacity [expr.NumResources]float64)
+	// window closes the observation window opened by beginRun or the
+	// previous call, and opens the next.
+	window() windowStats
+	// setUsers retargets the session population.
+	setUsers(n int)
+	// fault starts ev at seconds from now and ends it dur seconds later.
+	fault(ev fault.Event, at, dur float64)
+	// Replicas reports a tier's active node count.
+	Replicas(tier int) int
+	// Scale moves a tier's active count toward target and returns the
+	// count reached: actuation can fall short when the spare pool is
+	// exhausted or the tier is at its one-node floor.
+	Scale(tier, target int) int
+	// fill writes the measured run's request and response-time fields.
+	fill(res *store.Result)
+}
+
+// windowStats is one closed observation window as an engine measured it.
+type windowStats struct {
+	end, dur float64    // closing time on the engine's clock; length
+	served   float64    // goodput: successful, in-deadline completions
+	q        [3]float64 // p50/p90/p99 response time in seconds
+	measured bool       // q holds the window's quantiles
+}
+
 // RunTrial executes one trial of experiment e against a deployed
 // placement. The simulated application is constructed from the placement's
 // actual nodes: CPU speeds come from the allocated hardware and the
@@ -129,70 +180,33 @@ func RunTrial(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement, cfg
 	if cfg.Users <= 0 {
 		return nil, fmt.Errorf("experiment: trial needs at least one user")
 	}
+	newEngine := newDESEngine
 	switch cfg.Engine {
 	case "", EngineDES:
 	case EngineFluid:
-		return runFluidTrial(e, d, p, cfg)
+		newEngine = newFluidEngine
 	default:
 		return nil, fmt.Errorf("experiment: unknown trial engine %q", cfg.Engine)
 	}
-	knobs := cfg.knobs()
-	ts := knobs.timeScale()
-	seed := cfg.seed(e, d)
-
+	ts := cfg.knobs().timeScale()
 	model, err := Model(e, cfg.WriteRatioPct)
 	if err != nil {
 		return nil, err
 	}
+	warm, run, cool, rampUp := phases(e, ts)
+	maxSessions := sessionCapacity(d, p)
 
+	// The kernel is the trial clock the monitor samples on; only the DES
+	// draws from its random stream.
+	seed := cfg.seed(e, d)
 	k := sim.NewKernel(seed)
-	nt, maxSessions, err := buildNTier(k, e, d, p)
+	eng, err := newEngine(trialSetup{k: k, seed: seed, e: e, d: d, p: p, cfg: cfg,
+		model: model, rampUp: rampUp, maxSessions: maxSessions})
 	if err != nil {
 		return nil, err
 	}
 
-	warm, run, cool, rampUp := phases(e, ts)
-	driver := sim.NewDriver(k, nt, model, sim.DriverConfig{
-		Users:       cfg.Users,
-		Timeout:     e.Workload.TimeoutSec,
-		RampUp:      rampUp,
-		MaxSessions: maxSessions,
-	}, seed^0x5eed)
-
-	// Request-level tracing: one single-owner collector per trial, seeded
-	// from the trial seed under the "trace" domain, so the traced subset is
-	// a pure function of the trial coordinates — identical for any worker
-	// count, and absent entirely when the rate is zero.
-	var tracer *trace.Collector
-	if knobs.TraceRate > 0 {
-		tracer = trace.NewCollector(trace.SeedFor(seed), knobs.TraceRate)
-		driver.SetTracer(tracer)
-	}
-
-	// Response-time tap: a per-trial sketch (milliseconds, to match the
-	// stored percentile fields) and/or the caller's live observer. The tap
-	// sees exactly the measurement stream in completion order, which is a
-	// pure function of the trial seed — so the sketch is byte-reproducible
-	// for any worker count.
-	var sketch *metrics.TDigest
-	if knobs.SketchRT || cfg.RTObserver != nil {
-		var obs metrics.MultiObserver
-		if knobs.SketchRT {
-			sk := metrics.NewTDigest(metrics.DefaultTDigestCompression)
-			sketch = sk
-			obs = append(obs, metrics.ObserverFunc(func(rt float64) { sk.Observe(rt * 1000) }))
-		}
-		if cfg.RTObserver != nil {
-			obs = append(obs, cfg.RTObserver)
-		}
-		if len(obs) == 1 {
-			driver.SetRTObserver(obs[0])
-		} else {
-			driver.SetRTObserver(obs)
-		}
-	}
-
-	probes, stationOf, hostOf := buildProbes(d, p, nt, model)
+	probes, hostOf := buildProbes(d, p, eng, model)
 	mon, err := monitor.New(k, monitor.Config{
 		IntervalSec: e.Monitor.IntervalSec * ts,
 		Metrics:     e.Monitor.Metrics,
@@ -210,69 +224,76 @@ func RunTrial(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement, cfg
 		if err != nil {
 			return nil, err
 		}
-		if ev.Kind != fault.ErrorBurst {
-			if _, ok := stationOf[f.Role]; !ok {
-				return nil, fmt.Errorf("experiment: fault names role %s, absent from topology %s",
-					f.Role, d.Topology)
-			}
+		if ev.Kind != fault.ErrorBurst && hostOf[f.Role] == "" {
+			return nil, fmt.Errorf("experiment: fault names role %s, absent from topology %s",
+				f.Role, d.Topology)
 		}
 		if f.WhenExpr != "" {
 			continue
 		}
-		scheduleFault(k, driver, stationOf, ev, warm, ts)
+		eng.fault(ev, warm+ev.AtSec*ts, ev.DurationSec*ts)
 	}
 	// Profile-derived fault plan: same mechanism, derived coordinates.
 	// Roles absent from this topology are skipped silently — the plan is
 	// drawn from the deployment's own role list, so that only happens for
 	// hand-built configs.
 	for _, ev := range cfg.FaultPlan {
-		scheduleFault(k, driver, stationOf, ev, warm, ts)
+		eng.fault(ev, warm+ev.AtSec*ts, ev.DurationSec*ts)
 	}
 
 	// Expression hooks: nil for expression-free specs, which therefore run
-	// the exact historical event stream.
+	// the measured period in one advance: the exact historical event stream.
 	hooks, err := newExprHooks(e, warm, run, ts, e.Monitor.IntervalSec*ts, maxSessions)
 	if err != nil {
 		return nil, err
 	}
-	if hooks != nil && len(hooks.policies) > 0 {
-		scaler, err := newDESScaler(e, k, d, p, nt)
-		if err != nil {
-			return nil, err
-		}
-		hooks.actuator = scaler
-	}
 
-	driver.Start()
+	eng.start()
 	mon.Start()
-
-	k.Run(warm)
-	nt.ResetAccounting()
-	driver.BeginMeasurement()
+	eng.advance(warm)
+	eng.beginRun()
 	runStart := k.Now()
 	if hooks != nil {
-		hooks.armDES(k, driver, nt, stationOf, cfg.Users)
+		hooks.runWindows(eng)
+	} else {
+		eng.advance(warm + run)
 	}
-	k.Run(warm + run)
-	driver.EndMeasurement()
+	eng.endRun(warm + run)
 	runEnd := k.Now()
-	k.Run(warm + run + cool)
+	eng.advance(warm + run + cool)
 	mon.Stop()
 
-	res := assembleResult(e, d, driver, mon, stationOf, hostOf, cfg, runStart, runEnd)
-	if sketch != nil && sketch.Count() > 0 {
-		sketch.Compress()
-		res.RTSketch = sketch
+	res := newResult(e, d, mon, cfg, runEnd-runStart)
+	eng.fill(&res)
+	if len(cfg.FaultPlan) > 0 {
+		res.FaultEvents = make([]string, len(cfg.FaultPlan))
+		for i, fe := range cfg.FaultPlan {
+			res.FaultEvents[i] = fe.String()
+		}
 	}
+	collectUtilization(&res, d, mon, hostOf, runStart, runEnd)
+	judge(&res)
 	res.DeployRetries = p.Retries
 	res.DeploySeconds = p.DeploySec
 	if hooks != nil {
 		hooks.record(&res)
 	}
-	if tracer != nil {
-		res.Trace = trace.BuildReport(tracer, knobs.TraceExemplars)
-	}
 	return &TrialOutcome{Result: res, Monitor: mon, RunWindow: [2]float64{runStart, runEnd}}, nil
+}
+
+// trialSetup is what an engine is built from: the trial clock and seed,
+// the experiment and its deployment, the trial's configuration and
+// workload model, the ramp-up and the deployment's session capacity.
+type trialSetup struct {
+	k           *sim.Kernel
+	seed        uint64
+	e           *spec.Experiment
+	d           *mulini.Deployment
+	p           *deploy.Placement
+	cfg         TrialConfig
+	model       *bench.Profile
+	rampUp      float64
+	maxSessions int
 }
 
 // specFaultEvent converts a TBL fault declaration to a fault event.
@@ -289,106 +310,20 @@ func specFaultEvent(f spec.Fault) (fault.Event, error) {
 		DurationSec: f.DurationSec, Factor: f.Factor}, nil
 }
 
-// scheduleFault arms one fault window on the trial's kernel. Times are
-// relative to the run period's start and scale with the trial; roles not
-// present in the topology are ignored. It must be called before the
-// kernel runs (delays are measured from time zero).
-func scheduleFault(k *sim.Kernel, driver *sim.Driver, stationOf map[string]*sim.Station,
-	ev fault.Event, warm, ts float64) {
-	armFault(k, driver, stationOf, ev, warm+ev.AtSec*ts, ev.DurationSec*ts)
-}
-
-// armFault schedules one fault's start and recovery, `at` kernel seconds
-// from now for `dur` kernel seconds. When-guarded faults fire through
-// this path at a window boundary with at = 0.
-func armFault(k *sim.Kernel, driver *sim.Driver, stationOf map[string]*sim.Station,
-	ev fault.Event, at, dur float64) {
-
-	end := at + dur
-	switch ev.Kind {
-	case fault.Crash:
-		st, ok := stationOf[ev.Role]
-		if !ok {
-			return
+// resourceRates is the one gating rule for a node's disk and network
+// legs: a tier that declares disk demand gets a disk at the node's
+// effective spindle speed, and one that declares payload bytes gets a
+// link when the node's pool declares a bandwidth. Zero means no leg.
+func resourceRates(td spec.ResourceDemand, node *cluster.Node) (disk, net float64) {
+	if td.DiskSec > 0 {
+		if disk = node.EffectiveDiskSpeed(); disk <= 0 {
+			disk = node.DiskSpeed()
 		}
-		k.Schedule(at, st.Fail)
-		k.Schedule(end, st.Recover)
-	case fault.Slowdown, fault.Stall:
-		st, ok := stationOf[ev.Role]
-		if !ok {
-			return
-		}
-		f := ev.Factor
-		k.Schedule(at, func() { st.SetDegradation(f) })
-		k.Schedule(end, func() { st.SetDegradation(1) })
-	case fault.ErrorBurst:
-		f := ev.Factor
-		k.Schedule(at, func() { driver.SetErrorRate(f) })
-		k.Schedule(end, func() { driver.SetErrorRate(0) })
 	}
-}
-
-// buildNTier constructs the queueing network from the deployed placement
-// and reports the deployment's total session capacity. Tiers whose spec
-// declares disk or network demands get per-node Resource queues sized
-// from the allocated hardware's Table-2 capacities; without demands the
-// stations are exactly the historical CPU-only ones.
-func buildNTier(k *sim.Kernel, e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement) (*sim.NTier, int, error) {
-	mkStations := func(tier string) ([]*sim.Station, error) {
-		td := e.Demands[tier]
-		var out []*sim.Station
-		for _, role := range d.Roles(tier) {
-			node, ok := p.Node(role)
-			if !ok {
-				return nil, fmt.Errorf("experiment: role %s has no allocated node", role)
-			}
-			st := sim.NewStation(k, sim.StationConfig{
-				Name:    role,
-				Servers: node.Cores(),
-				Speed:   node.EffectiveSpeed(),
-			})
-			if td.DiskSec > 0 {
-				ds := node.EffectiveDiskSpeed()
-				if ds <= 0 {
-					ds = node.DiskSpeed()
-				}
-				st.AttachDisk(sim.NewResource(k, role+"/disk", ds))
-			}
-			if td.NetBytes > 0 {
-				if bps := node.NetBytesPerSec(); bps > 0 {
-					st.AttachNet(sim.NewResource(k, role+"/net", bps))
-				}
-			}
-			out = append(out, st)
-		}
-		return out, nil
+	if td.NetBytes > 0 {
+		net = node.NetBytesPerSec()
 	}
-	web, err := mkStations("web")
-	if err != nil {
-		return nil, 0, err
-	}
-	app, err := mkStations("app")
-	if err != nil {
-		return nil, 0, err
-	}
-	db, err := mkStations("db")
-	if err != nil {
-		return nil, 0, err
-	}
-	maxSessions := sessionCapacity(d, p)
-	nt := &sim.NTier{
-		Web: sim.NewTier(k, "web", sim.RoundRobin, web),
-		App: sim.NewTier(k, "app", sim.RoundRobin, app),
-		DB:  sim.NewRAIDb(k, sim.RoundRobin, db),
-	}
-	conv := func(d spec.ResourceDemand) sim.TierDemand {
-		return sim.TierDemand{CPUScale: d.CPUScale, DiskSec: d.DiskSec, NetBytes: d.NetBytes}
-	}
-	nt.Demands = [3]sim.TierDemand{
-		conv(e.Demands["web"]), conv(e.Demands["app"]), conv(e.Demands["db"]),
-	}
-	nt.DB.Demand = nt.Demands[2]
-	return nt, maxSessions, nil
+	return disk, net
 }
 
 // sessionCapacity reports the deployment's total session capacity: each
@@ -412,103 +347,48 @@ func sessionCapacity(d *mulini.Deployment, p *deploy.Placement) int {
 	return maxSessions
 }
 
-// buildProbes wires a monitor probe to every deployed node. Network and
-// disk counters are derived from the station completion counters and the
-// workload's mean transfer sizes.
-func buildProbes(d *mulini.Deployment, p *deploy.Placement, nt *sim.NTier, model interface {
+// buildProbes wires a monitor probe to every deployed node: its host, its
+// tier's memory profile and per-request traffic, and the engine's counter
+// source for its role. Network and disk operation counts derive from the
+// served operations and the workload's mean transfer sizes. hostOf maps
+// every role the engine models to its host.
+func buildProbes(d *mulini.Deployment, p *deploy.Placement, eng engine, model interface {
 	MeanBytes() (float64, float64)
-}) ([]monitor.Probe, map[string]*sim.Station, map[string]string) {
+}) (probes []monitor.Probe, hostOf map[string]string) {
 	reqBytes, replyBytes := model.MeanBytes()
-	stationOf := map[string]*sim.Station{}
-	hostOf := map[string]string{}
-	byTier := map[string][]*sim.Station{
-		"web": nt.Web.Stations(),
-		"app": nt.App.Stations(),
-		"db":  nt.DB.Replicas(),
-	}
-	for tier, stations := range byTier {
-		for i, role := range d.Roles(tier) {
-			if i < len(stations) {
-				stationOf[role] = stations[i]
-			}
-		}
-	}
-	var probes []monitor.Probe
+	hostOf = map[string]string{}
 	for _, a := range d.Assignments {
 		node, ok := p.Node(a.Role)
 		if !ok {
 			continue
 		}
-		hostOf[a.Role] = node.Name()
 		mp := memProfile[a.Tier]
 		probe := monitor.Probe{
 			Host:        node.Name(),
 			Role:        a.Role,
-			Station:     stationOf[a.Role],
 			TotalMemMB:  float64(node.Pool().MemoryMB),
 			BaseMemMB:   mp.base,
 			MemPerJobMB: mp.perJob,
+			BytesPerOp:  reqBytes + replyBytes,
+			Counters:    eng.counters(a.Role, a.Tier, node),
 		}
-		if st := stationOf[a.Role]; st != nil {
-			perReq := reqBytes + replyBytes
-			switch a.Tier {
-			case "db":
-				perReq = 600 // query + row traffic, not page bodies
-			case "app":
-				perReq = replyBytes + 400
-			}
-			probe.NetBytes = func() float64 { return float64(st.Completed()) * perReq }
-			if a.Tier == "db" {
-				probe.DiskOps = func() float64 { return float64(st.Completed()) * 1.6 }
-			}
-			probe.Disk = st.Disk()
-			probe.NetRes = st.Net()
+		switch a.Tier {
+		case "db":
+			probe.BytesPerOp = 600 // query + row traffic, not page bodies
+			probe.DiskOpsPerOp = 1.6
+		case "app":
+			probe.BytesPerOp = replyBytes + 400
+		}
+		if probe.Counters != nil {
+			hostOf[a.Role] = node.Name()
 		}
 		probes = append(probes, probe)
 	}
-	return probes, stationOf, hostOf
-}
-
-func assembleResult(e *spec.Experiment, d *mulini.Deployment, driver *sim.Driver,
-	mon *monitor.Monitor, stationOf map[string]*sim.Station, hostOf map[string]string,
-	cfg TrialConfig, runStart, runEnd float64) store.Result {
-
-	rts := driver.ResponseTimes()
-	dur := runEnd - runStart
-	res := newResult(e, d, mon, cfg, dur)
-	res.Requests = int64(rts.Count())
-	res.Errors = driver.Errors()
-	if rts.Count() > 0 {
-		res.AvgRTms = rts.Mean() * 1000
-		res.P50ms = rts.Percentile(50) * 1000
-		res.P90ms = rts.Percentile(90) * 1000
-		res.P99ms = rts.Percentile(99) * 1000
-		res.MaxRTms = rts.Max() * 1000
-		res.Throughput = float64(rts.Count()) / dur
-	}
-	if per := driver.PerInteraction(); len(per) > 0 {
-		res.PerInteraction = make(map[string]float64, len(per))
-		for name, s := range per {
-			res.PerInteraction[name] = s.Mean() * 1000
-		}
-	}
-	if len(cfg.FaultPlan) > 0 {
-		res.FaultEvents = make([]string, len(cfg.FaultPlan))
-		for i, fe := range cfg.FaultPlan {
-			res.FaultEvents[i] = fe.String()
-		}
-	}
-	res.InjectedErrors = driver.InjectedErrors()
-
-	collectUtilization(&res, d, mon, hostOf,
-		func(role string) bool { return stationOf[role] != nil }, runStart, runEnd)
-	judge(&res)
-	return res
+	return probes, hostOf
 }
 
 // newResult starts a trial's stored result: the grid key, the engine
-// tag, the fault profile, the run length and the monitoring volume. Both
-// engines assemble their results from it.
+// tag, the fault profile, the run length and the monitoring volume.
 func newResult(e *spec.Experiment, d *mulini.Deployment, mon *monitor.Monitor, cfg TrialConfig, dur float64) store.Result {
 	return store.Result{
 		Key: store.Key{
@@ -547,70 +427,47 @@ func judge(res *store.Result) {
 // run window into per-host and per-tier means, exactly as the paper's
 // analysis pipeline reads sysstat output. Disk and network maps stay nil
 // (and thus absent from stored output) unless the run observed those
-// resources. observed filters to roles the engine actually modelled.
+// resources. hostOf holds the roles the engine modelled.
 func collectUtilization(res *store.Result, d *mulini.Deployment, mon *monitor.Monitor,
-	hostOf map[string]string, observed func(role string) bool, runStart, runEnd float64) {
+	hostOf map[string]string, runStart, runEnd float64) {
 
-	tierSums := map[string]float64{}
-	tierCounts := map[string]int{}
-	// Allocated lazily: a CPU-only trial (no declared demands) must not
-	// allocate for resources it never observed.
-	var diskSums, netSums map[string]float64
-	var diskCounts, netCounts map[string]int
-	for _, a := range d.Assignments {
-		if !observed(a.Role) {
-			continue
-		}
-		host := hostOf[a.Role]
-		if host == "" {
-			continue
-		}
-		if ts, ok := mon.Series(host, "cpu"); ok {
-			if mean, ok := ts.MeanIn(runStart, runEnd); ok {
-				res.HostCPU[a.Role] = mean
-				tierSums[a.Tier] += mean
-				tierCounts[a.Tier]++
+	sums, counts := map[string]float64{}, map[string]int{}
+	for _, f := range [...]struct {
+		metric     string
+		host, tier *map[string]float64
+	}{
+		{"cpu", &res.HostCPU, &res.TierCPU},
+		{"disk-util", &res.HostDisk, &res.TierDisk},
+		{"net-util", &res.HostNet, &res.TierNet},
+	} {
+		clear(sums)
+		clear(counts)
+		for _, a := range d.Assignments {
+			host := hostOf[a.Role]
+			if host == "" {
+				continue
 			}
-		}
-		if ts, ok := mon.Series(host, "disk-util"); ok {
-			if mean, ok := ts.MeanIn(runStart, runEnd); ok {
-				if res.HostDisk == nil {
-					res.HostDisk = map[string]float64{}
-					diskSums = map[string]float64{}
-					diskCounts = map[string]int{}
-				}
-				res.HostDisk[a.Role] = mean
-				diskSums[a.Tier] += mean
-				diskCounts[a.Tier]++
+			ts, ok := mon.Series(host, f.metric)
+			if !ok {
+				continue
 			}
-		}
-		if ts, ok := mon.Series(host, "net-util"); ok {
-			if mean, ok := ts.MeanIn(runStart, runEnd); ok {
-				if res.HostNet == nil {
-					res.HostNet = map[string]float64{}
-					netSums = map[string]float64{}
-					netCounts = map[string]int{}
-				}
-				res.HostNet[a.Role] = mean
-				netSums[a.Tier] += mean
-				netCounts[a.Tier]++
+			mean, ok := ts.MeanIn(runStart, runEnd)
+			if !ok {
+				continue
 			}
+			if *f.host == nil {
+				*f.host = map[string]float64{}
+			}
+			(*f.host)[a.Role] = mean
+			sums[a.Tier] += mean
+			counts[a.Tier]++
 		}
-	}
-	for tier, sum := range tierSums {
-		res.TierCPU[tier] = sum / float64(tierCounts[tier])
-	}
-	for tier, sum := range diskSums {
-		if res.TierDisk == nil {
-			res.TierDisk = map[string]float64{}
+		for tier, sum := range sums {
+			if *f.tier == nil {
+				*f.tier = map[string]float64{}
+			}
+			(*f.tier)[tier] = sum / float64(counts[tier])
 		}
-		res.TierDisk[tier] = sum / float64(diskCounts[tier])
-	}
-	for tier, sum := range netSums {
-		if res.TierNet == nil {
-			res.TierNet = map[string]float64{}
-		}
-		res.TierNet[tier] = sum / float64(netCounts[tier])
 	}
 }
 

@@ -9,13 +9,34 @@ import (
 )
 
 // The fluid engine has no sim.Station or sim.Resource objects: its hosts
-// expose cumulative busy-time and level functions instead. These tests
-// pin the Fn-based probe path — the same sysstat rows must come out, the
-// disk/net %util rows must appear exactly when a busy-time source is
-// attached, and a zero-population system must sample cleanly to zeros.
+// expose cumulative busy-time and level readings through Counters
+// instead. These tests pin that path with a function-backed counter
+// source — the same sysstat rows must come out, the disk/net %util rows
+// must appear exactly when a busy-time source is attached, and a
+// zero-population system must sample cleanly to zeros.
 
-// fluidKernel returns a kernel plus a clock-proportional busy counter:
-// busy-time accumulating at the given utilization fraction.
+// fnCounters is a Counters built from reading functions. A nil disk or
+// net function means the resource is not attached; servers 0 leaves the
+// monitor's floor of one core in force.
+type fnCounters struct {
+	cpu, jobs, disk, net func() float64
+	servers              int
+}
+
+func (c fnCounters) CPU() (float64, int) { return c.cpu(), c.servers }
+func (c fnCounters) Jobs() float64 {
+	if c.jobs == nil {
+		return 0
+	}
+	return c.jobs()
+}
+func (c fnCounters) Ops() float64            { return 0 }
+func (c fnCounters) Resources() (bool, bool) { return c.disk != nil, c.net != nil }
+func (c fnCounters) DiskBusy() float64       { return c.disk() }
+func (c fnCounters) NetBusy() float64        { return c.net() }
+
+// fluidBusy returns a clock-proportional busy counter: busy-time
+// accumulating at the given utilization fraction.
 func fluidBusy(k *sim.Kernel, util float64) func() float64 {
 	return func() float64 { return k.Now() * util }
 }
@@ -26,10 +47,12 @@ func TestMonitorFluidFnProbes(t *testing.T) {
 		[]Probe{{
 			Host: "fluid-app", Role: "APP1",
 			TotalMemMB: 512, BaseMemMB: 100, MemPerJobMB: 2,
-			CPUBusyFn:  fluidBusy(k, 0.6),
-			JobsFn:     func() float64 { return 25 },
-			DiskBusyFn: fluidBusy(k, 0.3),
-			NetBusyFn:  fluidBusy(k, 0.1),
+			Counters: fnCounters{
+				cpu:  fluidBusy(k, 0.6),
+				jobs: func() float64 { return 25 },
+				disk: fluidBusy(k, 0.3),
+				net:  fluidBusy(k, 0.1),
+			},
 		}})
 	if err != nil {
 		t.Fatal(err)
@@ -42,6 +65,7 @@ func TestMonitorFluidFnProbes(t *testing.T) {
 		t.Fatalf("cpu series missing or short")
 	}
 	if mean, _ := cpu.MeanIn(0, 100); math.Abs(mean-60) > 1 {
+		// servers is unset: the monitor divides by its floor of one core.
 		t.Fatalf("fn-probe cpu = %.1f%%, want 60%%", mean)
 	}
 	mem, ok := m.Series("fluid-app", "memory")
@@ -53,14 +77,14 @@ func TestMonitorFluidFnProbes(t *testing.T) {
 	}
 	du, ok := m.Series("fluid-app", "disk-util")
 	if !ok {
-		t.Fatal("disk-util series missing despite DiskBusyFn")
+		t.Fatal("disk-util series missing despite a disk attachment")
 	}
 	if mean, _ := du.MeanIn(0, 100); math.Abs(mean-30) > 1 {
 		t.Fatalf("fn-probe disk util = %.1f%%, want 30%%", mean)
 	}
 	nu, ok := m.Series("fluid-app", "net-util")
 	if !ok {
-		t.Fatal("net-util series missing despite NetBusyFn")
+		t.Fatal("net-util series missing despite a net attachment")
 	}
 	if mean, _ := nu.MeanIn(0, 100); math.Abs(mean-10) > 1 {
 		t.Fatalf("fn-probe net util = %.1f%%, want 10%%", mean)
@@ -97,7 +121,7 @@ func TestMonitorFluidUtilRowsGatedOnAttachment(t *testing.T) {
 	m, err := New(k, Config{IntervalSec: 5, Metrics: []string{"cpu", "network", "disk"}},
 		[]Probe{{
 			Host: "fluid-web", Role: "HTTPD1",
-			CPUBusyFn: fluidBusy(k, 0.4),
+			Counters: fnCounters{cpu: fluidBusy(k, 0.4)},
 		}})
 	if err != nil {
 		t.Fatal(err)
@@ -105,10 +129,10 @@ func TestMonitorFluidUtilRowsGatedOnAttachment(t *testing.T) {
 	m.Start()
 	k.Run(50)
 	if _, ok := m.Series("fluid-web", "disk-util"); ok {
-		t.Error("disk-util series exists without a DiskBusyFn attachment")
+		t.Error("disk-util series exists without a disk attachment")
 	}
 	if _, ok := m.Series("fluid-web", "net-util"); ok {
-		t.Error("net-util series exists without a NetBusyFn attachment")
+		t.Error("net-util series exists without a net attachment")
 	}
 	text, _ := m.File("fluid-web")
 	if strings.Contains(text, "%util") {
@@ -119,16 +143,15 @@ func TestMonitorFluidUtilRowsGatedOnAttachment(t *testing.T) {
 	}
 }
 
-// TestMonitorFluidMultiCoreDivisor: CPUServers divides the busy window,
-// as Station.Servers does on the DES path. A 2-core host accumulating
+// TestMonitorFluidMultiCoreDivisor: the counter source's core count
+// divides the busy window, as Station.Servers does on the DES path. A 2-core host accumulating
 // 1.2 busy-seconds per second is 60% utilized, not pegged.
 func TestMonitorFluidMultiCoreDivisor(t *testing.T) {
 	k := sim.NewKernel(1)
 	m, err := New(k, Config{IntervalSec: 5, Metrics: []string{"cpu"}},
 		[]Probe{{
 			Host: "fluid-warp", Role: "APP1",
-			CPUBusyFn:  fluidBusy(k, 1.2),
-			CPUServers: 2,
+			Counters: fnCounters{cpu: fluidBusy(k, 1.2), servers: 2},
 		}})
 	if err != nil {
 		t.Fatal(err)
@@ -150,10 +173,12 @@ func TestMonitorFluidZeroPopulation(t *testing.T) {
 		[]Probe{{
 			Host: "fluid-idle", Role: "MYSQL1",
 			TotalMemMB: 256, BaseMemMB: 80, MemPerJobMB: 2,
-			CPUBusyFn:  func() float64 { return 0 },
-			JobsFn:     func() float64 { return 0 },
-			DiskBusyFn: func() float64 { return 0 },
-			NetBusyFn:  func() float64 { return 0 },
+			Counters: fnCounters{
+				cpu:  func() float64 { return 0 },
+				jobs: func() float64 { return 0 },
+				disk: func() float64 { return 0 },
+				net:  func() float64 { return 0 },
+			},
 		}})
 	if err != nil {
 		t.Fatal(err)

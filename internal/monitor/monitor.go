@@ -16,51 +16,65 @@ import (
 	"elba/internal/sim"
 )
 
-// Probe describes one monitored host: where its CPU signal comes from and
-// how its memory, network, and disk counters are derived.
+// Probe describes one monitored host: its identity, its memory profile,
+// how its network and disk traffic derive from the operations it serves,
+// and the counter source its rows read.
 type Probe struct {
 	// Host is the node hostname the monitor runs on.
 	Host string
 	// Role is the deployment role (APP1, MYSQL2, ...).
 	Role string
-	// Station supplies the CPU busy-time integral and queue depth. May be
-	// nil for hosts that run no modelled service (the client node).
-	Station *sim.Station
 	// TotalMemMB is the node's physical memory.
 	TotalMemMB float64
 	// BaseMemMB is the resident set of the installed software at idle.
 	BaseMemMB float64
 	// MemPerJobMB approximates per-in-flight-request memory.
 	MemPerJobMB float64
-	// NetBytes cumulatively counts bytes through the host (nil = none).
-	NetBytes func() float64
-	// DiskOps cumulatively counts disk operations (nil = none).
-	DiskOps func() float64
-	// Disk is the host's contended disk resource, when the experiment
-	// declares disk demands (nil = none). Its busy-time integral yields the
-	// %util column of the disk rows.
-	Disk *sim.Resource
-	// NetRes is the host's contended network link, when the experiment
-	// declares payload demands (nil = none).
-	NetRes *sim.Resource
-
-	// Function-based counter sources, for engines that model hosts without
-	// sim stations (the fluid approximation). Each is the cumulative
-	// busy-time or level equivalent of the station/resource reading above
-	// and is consulted only when the corresponding object is nil.
-	//
-	// CPUBusyFn returns cumulative CPU busy-seconds for the host.
-	CPUBusyFn func() float64
-	// CPUServers is the core count dividing the CPU busy window when
-	// CPUBusyFn supplies the signal (minimum 1).
-	CPUServers int
-	// JobsFn returns the host's current in-flight request level.
-	JobsFn func() float64
-	// DiskBusyFn returns cumulative disk busy-seconds.
-	DiskBusyFn func() float64
-	// NetBusyFn returns cumulative network-link busy-seconds.
-	NetBusyFn func() float64
+	// BytesPerOp is the network traffic one served operation moves
+	// through the host.
+	BytesPerOp float64
+	// DiskOpsPerOp is the disk operations one served operation issues
+	// (0 = the host emits no disk-operation rows).
+	DiskOpsPerOp float64
+	// Counters supplies the host's counters. Nil for hosts that run no
+	// modelled service (the client node): they report an idle CPU and
+	// base memory only.
+	Counters Counters
 }
+
+// Counters is a monitored host's counter source, implemented by each
+// trial engine. Busy-time and operation readings are cumulative; Jobs is
+// the current level.
+type Counters interface {
+	// CPU returns cumulative CPU busy-seconds and the core count dividing
+	// a busy window (counts below 1 divide as 1).
+	CPU() (busy float64, servers int)
+	// Jobs returns the host's in-flight request level.
+	Jobs() float64
+	// Ops returns the host's cumulative served operations.
+	Ops() float64
+	// Resources reports whether the host has a contended disk and a
+	// contended network link. The answer is fixed for the host's
+	// lifetime; DiskBusy and NetBusy are read only for attached ones.
+	Resources() (disk, net bool)
+	// DiskBusy returns cumulative disk busy-seconds.
+	DiskBusy() float64
+	// NetBusy returns cumulative network-link busy-seconds.
+	NetBusy() float64
+}
+
+// StationCounters is the counter source of a simulated station and the
+// disk and network resources attached to it.
+func StationCounters(st *sim.Station) Counters { return stationCounters{st} }
+
+type stationCounters struct{ st *sim.Station }
+
+func (c stationCounters) CPU() (float64, int)     { return c.st.BusyTime(), c.st.Servers() }
+func (c stationCounters) Jobs() float64           { return float64(c.st.InFlight()) }
+func (c stationCounters) Ops() float64            { return float64(c.st.Completed()) }
+func (c stationCounters) Resources() (bool, bool) { return c.st.Disk() != nil, c.st.Net() != nil }
+func (c stationCounters) DiskBusy() float64       { return c.st.Disk().BusyTime() }
+func (c stationCounters) NetBusy() float64        { return c.st.Net().BusyTime() }
 
 // Config configures a monitoring session.
 type Config struct {
@@ -135,16 +149,20 @@ func New(k *sim.Kernel, cfg Config, probes []Probe) (*Monitor, error) {
 		if m.has("memory") {
 			st.mem = m.seriesFor(p.Host, "memory")
 		}
-		if m.has("network") && p.NetBytes != nil {
+		if p.Counters == nil {
+			continue
+		}
+		disk, net := p.Counters.Resources()
+		if m.has("network") {
 			st.net = m.seriesFor(p.Host, "network")
 		}
-		if m.has("disk") && p.DiskOps != nil {
+		if m.has("disk") && p.DiskOpsPerOp > 0 {
 			st.disk = m.seriesFor(p.Host, "disk")
 		}
-		if m.has("disk") && (p.Disk != nil || p.DiskBusyFn != nil) {
+		if m.has("disk") && disk {
 			st.diskUtil = m.seriesFor(p.Host, "disk-util")
 		}
-		if m.has("network") && (p.NetRes != nil || p.NetBusyFn != nil) {
+		if m.has("network") && net {
 			st.netUtil = m.seriesFor(p.Host, "net-util")
 		}
 	}
@@ -177,27 +195,20 @@ func (m *Monitor) Start() {
 	m.running = true
 	// Prime counters so the first window starts at Start, not at t=0.
 	for i := range m.probes {
-		p, st := &m.probes[i], &m.state[i]
-		if p.Station != nil {
-			st.lastBusy = p.Station.BusyTime()
-		} else if p.CPUBusyFn != nil {
-			st.lastBusy = p.CPUBusyFn()
+		c, st := m.probes[i].Counters, &m.state[i]
+		if c == nil {
+			continue
 		}
-		if p.NetBytes != nil {
-			st.lastNet = p.NetBytes()
+		st.lastBusy, _ = c.CPU()
+		ops := c.Ops()
+		st.lastNet = ops * m.probes[i].BytesPerOp
+		st.lastDisk = ops * m.probes[i].DiskOpsPerOp
+		disk, net := c.Resources()
+		if disk {
+			st.lastDiskBusy = c.DiskBusy()
 		}
-		if p.DiskOps != nil {
-			st.lastDisk = p.DiskOps()
-		}
-		if p.Disk != nil {
-			st.lastDiskBusy = p.Disk.BusyTime()
-		} else if p.DiskBusyFn != nil {
-			st.lastDiskBusy = p.DiskBusyFn()
-		}
-		if p.NetRes != nil {
-			st.lastNetBusy = p.NetRes.BusyTime()
-		} else if p.NetBusyFn != nil {
-			st.lastNetBusy = p.NetBusyFn()
+		if net {
+			st.lastNetBusy = c.NetBusy()
 		}
 	}
 	m.k.Schedule(m.cfg.IntervalSec, m.tick)
@@ -225,18 +236,9 @@ func (m *Monitor) sample(p *Probe, st *probeState, now float64) {
 	b := m.buf[:0]
 	if st.cpu != nil {
 		util := 0.0
-		if p.Station != nil || p.CPUBusyFn != nil {
-			var busy float64
-			servers := 1
-			if p.Station != nil {
-				busy = p.Station.BusyTime()
-				servers = p.Station.Servers()
-			} else {
-				busy = p.CPUBusyFn()
-				if p.CPUServers > 1 {
-					servers = p.CPUServers
-				}
-			}
+		if p.Counters != nil {
+			busy, servers := p.Counters.CPU()
+			servers = max(servers, 1)
 			delta := busy - st.lastBusy
 			st.lastBusy = busy
 			util = delta / (m.cfg.IntervalSec * float64(servers))
@@ -261,10 +263,8 @@ func (m *Monitor) sample(p *Probe, st *probeState, now float64) {
 	}
 	if st.mem != nil {
 		used := p.BaseMemMB
-		if p.Station != nil {
-			used += float64(p.Station.InFlight()) * p.MemPerJobMB
-		} else if p.JobsFn != nil {
-			used += p.JobsFn() * p.MemPerJobMB
+		if p.Counters != nil {
+			used += p.Counters.Jobs() * p.MemPerJobMB
 		}
 		if p.TotalMemMB > 0 && used > p.TotalMemMB {
 			used = p.TotalMemMB
@@ -281,7 +281,7 @@ func (m *Monitor) sample(p *Probe, st *probeState, now float64) {
 		st.mem.Append(now, used)
 	}
 	if st.net != nil {
-		cum := p.NetBytes()
+		cum := p.Counters.Ops() * p.BytesPerOp
 		rate := (cum - st.lastNet) / m.cfg.IntervalSec
 		st.lastNet = cum
 		b = appendStamp(b, now)
@@ -293,7 +293,7 @@ func (m *Monitor) sample(p *Probe, st *probeState, now float64) {
 		st.net.Append(now, rate)
 	}
 	if st.disk != nil {
-		cum := p.DiskOps()
+		cum := p.Counters.Ops() * p.DiskOpsPerOp
 		rate := (cum - st.lastDisk) / m.cfg.IntervalSec
 		st.lastDisk = cum
 		b = appendStamp(b, now)
@@ -305,12 +305,7 @@ func (m *Monitor) sample(p *Probe, st *probeState, now float64) {
 		st.disk.Append(now, rate)
 	}
 	if st.diskUtil != nil {
-		busy := 0.0
-		if p.Disk != nil {
-			busy = p.Disk.BusyTime()
-		} else {
-			busy = p.DiskBusyFn()
-		}
+		busy := p.Counters.DiskBusy()
 		delta := busy - st.lastDiskBusy
 		st.lastDiskBusy = busy
 		util := delta / m.cfg.IntervalSec
@@ -326,12 +321,7 @@ func (m *Monitor) sample(p *Probe, st *probeState, now float64) {
 		st.diskUtil.Append(now, util*100)
 	}
 	if st.netUtil != nil {
-		busy := 0.0
-		if p.NetRes != nil {
-			busy = p.NetRes.BusyTime()
-		} else {
-			busy = p.NetBusyFn()
-		}
+		busy := p.Counters.NetBusy()
 		delta := busy - st.lastNetBusy
 		st.lastNetBusy = busy
 		util := delta / m.cfg.IntervalSec

@@ -24,7 +24,7 @@ func TestMonitorCPUSampling(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := busyStation(k)
 	m, err := New(k, Config{IntervalSec: 5, Metrics: []string{"cpu"}},
-		[]Probe{{Host: "h1", Role: "APP1", Station: s}})
+		[]Probe{{Host: "h1", Role: "APP1", Counters: StationCounters(s)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +43,11 @@ func TestMonitorCPUSampling(t *testing.T) {
 func TestMonitorFileFormatRoundTrip(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := busyStation(k)
-	var net float64
 	m, err := New(k, Config{IntervalSec: 5, Metrics: []string{"cpu", "memory", "network", "disk"}},
 		[]Probe{{
-			Host: "h1", Role: "MYSQL1", Station: s,
+			Host: "h1", Role: "MYSQL1", Counters: StationCounters(s),
 			TotalMemMB: 256, BaseMemMB: 80, MemPerJobMB: 2,
-			NetBytes: func() float64 { net += 1000; return net },
-			DiskOps:  func() float64 { return 42 },
+			BytesPerOp: 1000, DiskOpsPerOp: 1.6,
 		}})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +93,7 @@ func TestMonitorSelectiveMetrics(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := busyStation(k)
 	m, _ := New(k, Config{IntervalSec: 5, Metrics: []string{"cpu"}},
-		[]Probe{{Host: "h1", Station: s, TotalMemMB: 256}})
+		[]Probe{{Host: "h1", Counters: StationCounters(s), TotalMemMB: 256}})
 	m.Start()
 	k.Run(20)
 	if _, ok := m.Series("h1", "memory"); ok {
@@ -111,7 +109,7 @@ func TestMonitorStop(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := busyStation(k)
 	m, _ := New(k, Config{IntervalSec: 5, Metrics: []string{"cpu"}},
-		[]Probe{{Host: "h1", Station: s}})
+		[]Probe{{Host: "h1", Counters: StationCounters(s)}})
 	m.Start()
 	k.Run(50)
 	m.Stop()
@@ -131,7 +129,7 @@ func TestMonitorWindowedUtilization(t *testing.T) {
 	s.Submit(10, func(bool, float64, float64) {}) // busy 0..10
 	k.Run(10)                                     // all pre-Start
 	m, _ := New(k, Config{IntervalSec: 5, Metrics: []string{"cpu"}},
-		[]Probe{{Host: "h1", Station: s}})
+		[]Probe{{Host: "h1", Counters: StationCounters(s)}})
 	m.Start()
 	k.Run(30) // idle afterwards
 	ts, _ := m.Series("h1", "cpu")
@@ -148,7 +146,7 @@ func TestMonitorMemoryClamped(t *testing.T) {
 		s.Submit(100, func(bool, float64, float64) {})
 	}
 	m, _ := New(k, Config{IntervalSec: 5, Metrics: []string{"memory"}},
-		[]Probe{{Host: "h1", Station: s, TotalMemMB: 256, BaseMemMB: 100, MemPerJobMB: 4}})
+		[]Probe{{Host: "h1", Counters: StationCounters(s), TotalMemMB: 256, BaseMemMB: 100, MemPerJobMB: 4}})
 	m.Start()
 	k.Run(20)
 	ts, _ := m.Series("h1", "memory")
@@ -171,7 +169,7 @@ func TestMonitorCollectedBytesGrow(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := busyStation(k)
 	m, _ := New(k, Config{IntervalSec: 1, Metrics: []string{"cpu"}},
-		[]Probe{{Host: "h1", Station: s}, {Host: "h2", Station: nil}})
+		[]Probe{{Host: "h1", Counters: StationCounters(s)}, {Host: "h2"}})
 	m.Start()
 	k.Run(10)
 	b1 := m.CollectedBytes()
