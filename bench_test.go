@@ -685,6 +685,26 @@ func BenchmarkSimKernelEvents(b *testing.B) {
 	k.Run(1e18)
 }
 
+// BenchmarkSimKernelHold is the classic hold model: 2,000 pending events,
+// the pending count of a 1,900-user RUBiS trial, each of which
+// reschedules itself an Exp(1) delay later when it fires. Unlike
+// BenchmarkSimKernelEvents, which keeps one event pending, every
+// operation walks the full depth of the event heap. Steady state must
+// allocate nothing.
+func BenchmarkSimKernelHold(b *testing.B) {
+	const pending = 2000
+	k := sim.NewKernel(1)
+	var hold func()
+	hold = func() { k.Schedule(k.Exp(1), hold) }
+	for i := 0; i < pending; i++ {
+		k.Schedule(k.Exp(1), hold)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step()
+	}
+}
+
 func BenchmarkStationPipeline(b *testing.B) {
 	k := sim.NewKernel(1)
 	s := sim.NewStation(k, sim.StationConfig{Name: "S", Servers: 2, Speed: 1})
