@@ -489,7 +489,7 @@ func BenchmarkAblationConnPool(b *testing.B) {
 			d.BeginMeasurement()
 			k.Run(25)
 			d.EndMeasurement()
-			total := float64(len(d.Records()))
+			total := float64(d.ResponseTimes().Count()) + float64(d.Errors())
 			if total == 0 {
 				return 0
 			}
@@ -720,6 +720,29 @@ func BenchmarkStationPipeline(b *testing.B) {
 	}
 	b.ResetTimer()
 	feed()
+	k.Run(1e18)
+}
+
+// BenchmarkStationStandingQueue holds 100 jobs queued in front of a busy
+// single-server station: every completion submits one replacement, so
+// the queue never drains. One op is one job through the queue. Steady
+// state must allocate nothing (the wait queue reuses its storage), which
+// benchreg gates via allocs/op.
+func BenchmarkStationStandingQueue(b *testing.B) {
+	const depth = 100
+	k := sim.NewKernel(1)
+	s := sim.NewStation(k, sim.StationConfig{Name: "S", Servers: 1, Speed: 1, Deterministic: true})
+	remaining := b.N
+	var refill sim.Completion
+	refill = func(bool, float64, float64) {
+		if remaining--; remaining > 0 {
+			s.Submit(0.001, refill)
+		}
+	}
+	for i := 0; i <= depth; i++ {
+		s.Submit(0.001, refill)
+	}
+	b.ResetTimer()
 	k.Run(1e18)
 }
 
@@ -965,7 +988,7 @@ func BenchmarkAblationStickySessions(b *testing.B) {
 			k.Schedule(5, nt.App.Stations()[1].Fail)
 			k.Run(k.Now() + 30)
 			d.EndMeasurement()
-			total := float64(len(d.Records()))
+			total := float64(d.ResponseTimes().Count()) + float64(d.Errors())
 			if total == 0 {
 				return 0
 			}

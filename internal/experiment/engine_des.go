@@ -32,7 +32,7 @@ type desEngine struct {
 
 	// Observation window state.
 	winStart float64
-	recIdx   int
+	rtRead   int       // measured RTs consumed by earlier windows
 	rts      []float64 // scratch, reused across windows
 
 	// Autoscaling actuation (scale.go); spares is empty without policies.
@@ -143,6 +143,7 @@ func (g *desEngine) beginRun() {
 	g.nt.ResetAccounting()
 	g.driver.BeginMeasurement()
 	g.winStart = g.k.Now()
+	g.rtRead = 0
 }
 
 // endRun runs the kernel to t once more before measurement stops, so
@@ -205,21 +206,16 @@ func (g *desEngine) tierBusy(ti int) (busy, capacity [expr.NumResources]float64)
 	return busy, capacity
 }
 
-// window reads the driver's request log since the previous window:
-// goodput counts OK, in-deadline records, whose response times give the
-// window's quantiles.
+// window reads the driver's measured response times since the previous
+// window (fill sorts the sample only after the last one): goodput counts
+// OK, in-deadline completions, whose response times give the quantiles.
 func (g *desEngine) window() windowStats {
 	now := g.k.Now()
 	w := windowStats{end: now, dur: now - g.winStart}
 	g.winStart = now
-	recs := g.driver.Records()
-	g.rts = g.rts[:0]
-	for _, r := range recs[g.recIdx:] {
-		if r.Outcome == sim.OK && !r.TimedOut {
-			g.rts = append(g.rts, r.RT)
-		}
-	}
-	g.recIdx = len(recs)
+	rts := g.driver.ResponseTimes()
+	g.rts = rts.AppendSince(g.rts[:0], g.rtRead)
+	g.rtRead = rts.Count()
 	w.served = float64(len(g.rts))
 	if len(g.rts) > 0 {
 		sort.Float64s(g.rts)

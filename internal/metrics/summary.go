@@ -116,9 +116,10 @@ func (s *Summary) String() string {
 // (percentiles, median) can be computed after the fact. It keeps every
 // value; trials are bounded so this stays modest.
 type Sample struct {
-	xs     []float64
-	sorted bool
-	sum    Summary
+	xs        []float64
+	sorted    bool
+	reordered bool // sorted in place since Reset: insertion order is gone
+	sum       Summary
 }
 
 // NewSample returns a sample with capacity pre-allocated for n values.
@@ -154,11 +155,25 @@ func (p *Sample) Summary() Summary { return p.sum }
 // Quantile returns the q-th quantile of the recorded values; see
 // QuantileSorted for the estimator and its argument contract.
 func (p *Sample) Quantile(q float64) float64 {
+	p.sort()
+	return QuantileSorted(p.xs, q)
+}
+
+func (p *Sample) sort() {
 	if !p.sorted {
 		sort.Float64s(p.xs)
-		p.sorted = true
+		p.sorted, p.reordered = true, true
 	}
-	return QuantileSorted(p.xs, q)
+}
+
+// AppendSince appends the values recorded from index i onward to dst, in
+// insertion order. It panics once Quantile, Percentile or Values has
+// sorted the sample in place since its last Reset.
+func (p *Sample) AppendSince(dst []float64, i int) []float64 {
+	if p.reordered {
+		panic("metrics: Sample.AppendSince after the sample was sorted")
+	}
+	return append(dst, p.xs[i:]...)
 }
 
 // QuantileSorted returns the q-th quantile of the ascending values xs by
@@ -194,10 +209,7 @@ func (p *Sample) Percentile(pct float64) float64 { return p.Quantile(pct / 100) 
 // Values returns a copy of the recorded values in insertion-independent
 // (sorted) order.
 func (p *Sample) Values() []float64 {
-	if !p.sorted {
-		sort.Float64s(p.xs)
-		p.sorted = true
-	}
+	p.sort()
 	out := make([]float64, len(p.xs))
 	copy(out, p.xs)
 	return out
@@ -206,7 +218,7 @@ func (p *Sample) Values() []float64 {
 // Reset discards all recorded values but keeps the allocation.
 func (p *Sample) Reset() {
 	p.xs = p.xs[:0]
-	p.sorted = false
+	p.sorted, p.reordered = false, false
 	p.sum = Summary{}
 }
 

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -212,6 +213,41 @@ func TestSampleValuesSortedCopy(t *testing.T) {
 	v[0] = 99 // must be a copy
 	if s.Min() != 1 {
 		t.Fatalf("Values returned internal storage")
+	}
+}
+
+func TestSampleAppendSinceStreamsInsertionOrder(t *testing.T) {
+	s := NewSample(0)
+	for _, x := range []float64{3, 1, 2} {
+		s.Observe(x)
+	}
+	got := s.AppendSince(nil, 0)
+	n := s.Count()
+	s.Observe(0)
+	got = s.AppendSince(got, n)
+	if want := []float64{3, 1, 2, 0}; !slices.Equal(got, want) {
+		t.Fatalf("AppendSince = %v, want %v", got, want)
+	}
+	if got := s.AppendSince(nil, s.Count()); len(got) != 0 {
+		t.Fatalf("AppendSince past the end = %v, want empty", got)
+	}
+
+	// An in-place sort loses insertion order; observing more values does
+	// not bring it back, only Reset does.
+	s.Quantile(0.5)
+	s.Observe(7)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("AppendSince after Quantile did not panic")
+			}
+		}()
+		s.AppendSince(nil, 0)
+	}()
+	s.Reset()
+	s.Observe(4)
+	if got := s.AppendSince(nil, 0); !slices.Equal(got, []float64{4}) {
+		t.Fatalf("AppendSince after Reset = %v, want [4]", got)
 	}
 }
 

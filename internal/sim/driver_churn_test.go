@@ -77,13 +77,23 @@ func TestDriverChurnAccounting(t *testing.T) {
 	}
 }
 
+// churnOutcome is what one churn run measured: every successful
+// response with its issue time, in completion order, and the driver's
+// request and error counters.
+type churnOutcome struct {
+	responses      []tapped
+	issued, errors int64
+}
+
 // churnRun executes one seeded trial with a scripted mid-run churn
-// schedule (surge, deep drain, regrow) and returns the measured records.
-func churnRun(t *testing.T) []RequestRecord {
+// schedule (surge, deep drain, regrow) and returns what it measured.
+func churnRun(t *testing.T) churnOutcome {
 	t.Helper()
 	k := NewKernel(3)
 	app := buildApp(k, 1, 2, 1, 0)
 	d := NewDriver(k, app, churnModel(), DriverConfig{Users: 12, RampUp: 2}, 42)
+	tap := &rtTap{k: k}
+	d.SetRTObserver(tap)
 	d.Start()
 	k.Run(10)
 	d.BeginMeasurement()
@@ -92,20 +102,21 @@ func churnRun(t *testing.T) []RequestRecord {
 	k.Schedule(20, func() { d.AddUsers(6, 0) })
 	k.Run(k.Now() + 40)
 	d.EndMeasurement()
-	return d.Records()
+	return churnOutcome{responses: tap.got, issued: d.Issued(), errors: d.Errors()}
 }
 
-// TestDriverChurnDeterministic pins record-stream reproducibility across
+// TestDriverChurnDeterministic pins request-stream reproducibility across
 // population churn: two identically seeded runs of the same scripted
-// surge/drain/regrow schedule produce byte-identical request records, so
-// a dynamic-workload trial stays as reproducible as a static one.
+// surge/drain/regrow schedule issue the same requests and measure
+// bit-identical responses, so a dynamic-workload trial stays as
+// reproducible as a static one.
 func TestDriverChurnDeterministic(t *testing.T) {
 	a, b := churnRun(t), churnRun(t)
-	if len(a) == 0 {
+	if len(a.responses) == 0 {
 		t.Fatal("churn run measured no requests")
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("record streams diverge across identical churn runs (%d vs %d records)",
-			len(a), len(b))
+		t.Fatalf("request streams diverge across identical churn runs (%d vs %d responses)",
+			len(a.responses), len(b.responses))
 	}
 }

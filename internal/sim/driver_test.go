@@ -21,6 +21,17 @@ func (m fixedModel) NewSession(*rand.Rand) Session { return fixedSession{m.it} }
 func (m fixedModel) ThinkTime() float64            { return m.think }
 func (m fixedModel) Interactions() []Interaction   { return []Interaction{m.it} }
 
+// rtTap records each measured successful response through the driver's
+// RT observer, with its issue time recovered from the completion clock.
+type rtTap struct {
+	k   *Kernel
+	got []tapped
+}
+
+type tapped struct{ issued, rt float64 }
+
+func (r *rtTap) Observe(rt float64) { r.got = append(r.got, tapped{r.k.Now() - rt, rt}) }
+
 func buildApp(k *Kernel, web, app, db int, appMax int) *NTier {
 	mk := func(name string, n, maxJobs int) []*Station {
 		out := make([]*Station, n)
@@ -130,25 +141,30 @@ func TestDriverMeasurementWindow(t *testing.T) {
 	app := buildApp(k, 1, 1, 1, 0)
 	model := fixedModel{it: Interaction{Name: "ix", AppDemand: 0.01}, think: 0.1}
 	d := NewDriver(k, app, model, DriverConfig{Users: 5, RampUp: 0.1}, 7)
+	tap := &rtTap{k: k}
+	d.SetRTObserver(tap)
 	d.Start()
 	k.Run(10) // warm-up: nothing recorded
-	if len(d.Records()) != 0 {
-		t.Fatalf("records captured before measurement began")
+	if d.ResponseTimes().Count() != 0 || len(tap.got) != 0 {
+		t.Fatalf("responses captured before measurement began")
 	}
 	d.BeginMeasurement()
 	k.Run(20)
 	d.EndMeasurement()
-	n := len(d.Records())
+	n := d.ResponseTimes().Count()
 	if n == 0 {
-		t.Fatalf("no records captured during measurement")
+		t.Fatalf("no responses captured during measurement")
+	}
+	if len(tap.got) != n {
+		t.Fatalf("observer saw %d responses, sample holds %d", len(tap.got), n)
 	}
 	k.Run(30) // cool-down: nothing more recorded
-	if len(d.Records()) != n {
-		t.Fatalf("records captured after measurement ended")
+	if d.ResponseTimes().Count() != n || len(tap.got) != n {
+		t.Fatalf("responses captured after measurement ended")
 	}
-	for _, r := range d.Records() {
-		if r.Issued < 10 {
-			t.Fatalf("record issued during warm-up leaked into measurement: %+v", r)
+	for _, r := range tap.got {
+		if r.issued < 10 {
+			t.Fatalf("request issued during warm-up leaked into measurement: %+v", r)
 		}
 	}
 }
@@ -198,20 +214,27 @@ func TestDriverMaxSessionsCausesRefusals(t *testing.T) {
 	d.BeginMeasurement()
 	k.Run(k.Now() + 60)
 	d.EndMeasurement()
-	total := int64(len(d.Records()))
+	// Every measured completion is a success or an error.
+	total := int64(d.ResponseTimes().Count()) + d.Errors()
 	if total == 0 {
-		t.Fatalf("no records")
+		t.Fatalf("no requests measured")
 	}
 	rate := float64(d.Errors()) / float64(total)
 	// 20 of 100 users are refused: error rate ≈ 20%.
 	if math.Abs(rate-0.2) > 0.04 {
 		t.Fatalf("refusal rate = %.3f, want ≈0.20", rate)
 	}
-	// Refused requests never reach the servers.
-	for _, r := range d.Records() {
-		if r.Outcome == Rejected && r.RT != 0 {
-			t.Fatalf("refused request has nonzero RT: %+v", r)
-		}
+	// Refused requests never reach the servers: the web tier, which
+	// fronts every admitted request and rejects none, saw only the
+	// connected users' share of everything issued since Start.
+	web := app.Web.Stations()[0]
+	if web.Rejected() != 0 {
+		t.Fatalf("web tier rejected %d requests", web.Rejected())
+	}
+	arrived := web.Completed() + int64(web.InFlight())
+	refused := float64(d.Issued()-arrived) / float64(d.Issued())
+	if math.Abs(refused-0.2) > 0.04 {
+		t.Fatalf("share of requests that never reached the web tier = %.3f, want ≈0.20", refused)
 	}
 }
 
@@ -314,10 +337,11 @@ func TestDriverRemoveMoreThanActive(t *testing.T) {
 	}
 	k.Run(20)
 	// All sessions retired: no measurement activity after settle.
+	issued := d.Issued()
 	d.BeginMeasurement()
 	k.Run(k.Now() + 10)
 	d.EndMeasurement()
-	if len(d.Records()) != 0 {
+	if d.Issued() != issued || d.ResponseTimes().Count() != 0 || d.Errors() != 0 {
 		t.Fatalf("retired users still issuing requests")
 	}
 }

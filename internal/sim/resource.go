@@ -21,8 +21,7 @@ type Resource struct {
 	rate float64
 
 	busy  bool
-	queue []pendingJob // ring: live entries are queue[qhead:]
-	qhead int
+	queue jobFIFO
 
 	// cur holds the in-service job; single capacity means at most one, so
 	// the actor event needs no slot index.
@@ -32,7 +31,6 @@ type Resource struct {
 	busyTime   float64
 	lastChange float64
 	completed  int64
-	queuedPeak int
 }
 
 // NewResource creates a resource attached to kernel k. rate converts
@@ -54,13 +52,11 @@ func (r *Resource) Name() string { return r.name }
 func (r *Resource) Completed() int64 { return r.completed }
 
 // QueuedPeak reports the largest queue length observed.
-func (r *Resource) QueuedPeak() int { return r.queuedPeak }
-
-func (r *Resource) queued() int { return len(r.queue) - r.qhead }
+func (r *Resource) QueuedPeak() int { return r.queue.peak }
 
 // InFlight reports jobs currently queued or in service.
 func (r *Resource) InFlight() int {
-	n := r.queued()
+	n := r.queue.len()
 	if r.busy {
 		n++
 	}
@@ -76,10 +72,7 @@ func (r *Resource) submit(demand float64, done jobDone) {
 		r.start(j)
 		return
 	}
-	r.queue = append(r.queue, j)
-	if q := r.queued(); q > r.queuedPeak {
-		r.queuedPeak = q
-	}
+	r.queue.push(j)
 }
 
 func (r *Resource) start(j pendingJob) {
@@ -99,14 +92,7 @@ func (r *Resource) act(int32) {
 	r.accumulate()
 	r.busy = false
 	r.completed++
-	if r.qhead < len(r.queue) {
-		next := r.queue[r.qhead]
-		r.queue[r.qhead] = pendingJob{}
-		r.qhead++
-		if r.qhead == len(r.queue) {
-			r.queue = r.queue[:0]
-			r.qhead = 0
-		}
+	if next, ok := r.queue.pop(); ok {
 		r.start(next)
 	}
 	sl.jd.jobFinished(true, sl.wait, sl.svc)
@@ -143,7 +129,7 @@ func (r *Resource) ResetAccounting() {
 	r.accumulate()
 	r.busyTime = 0
 	r.completed = 0
-	r.queuedPeak = r.queued()
+	r.queue.peak = r.queue.len()
 }
 
 // resJob sequences one request's legs across a station's contended

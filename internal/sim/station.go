@@ -42,8 +42,7 @@ type Station struct {
 	detSvc  bool
 
 	busy   int
-	queue  []pendingJob // ring: live entries are queue[qhead:]
-	qhead  int
+	queue  jobFIFO
 	failed bool
 	degr   float64 // runtime degradation factor; 1 = full speed
 
@@ -64,13 +63,51 @@ type Station struct {
 	lastChange float64
 	completed  int64
 	rejected   int64
-	queuedPeak int
 }
 
 type pendingJob struct {
 	demand  float64
 	arrived float64
 	done    jobDone
+}
+
+// jobFIFO is the wait queue Station and Resource share, with its peak
+// length since the last accounting reset. Live entries are buf[head:].
+// A push into a full buffer whose head has passed half of it slides the
+// live entries to the front, so append grows the buffer only while more
+// than half of it is live: capacity stays within about 4× the longest
+// the queue has ever been.
+type jobFIFO struct {
+	buf  []pendingJob
+	head int
+	peak int
+}
+
+func (q *jobFIFO) len() int { return len(q.buf) - q.head }
+
+func (q *jobFIFO) push(j pendingJob) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && q.head >= len(q.buf)/2 {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, j)
+	if n := q.len(); n > q.peak {
+		q.peak = n
+	}
+}
+
+// pop removes the oldest entry; ok is false when the queue is empty.
+func (q *jobFIFO) pop() (j pendingJob, ok bool) {
+	if q.head == len(q.buf) {
+		return j, false
+	}
+	j = q.buf[q.head]
+	q.buf[q.head] = pendingJob{}
+	if q.head++; q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return j, true
 }
 
 type svcSlot struct {
@@ -121,11 +158,8 @@ func (s *Station) Name() string { return s.name }
 // Servers reports the number of parallel servers.
 func (s *Station) Servers() int { return s.servers }
 
-// queued reports the number of jobs waiting in the ring buffer.
-func (s *Station) queued() int { return len(s.queue) - s.qhead }
-
 // InFlight reports jobs currently queued or in service.
-func (s *Station) InFlight() int { return s.busy + s.queued() }
+func (s *Station) InFlight() int { return s.busy + s.queue.len() }
 
 // Completed reports the number of jobs served to completion.
 func (s *Station) Completed() int64 { return s.completed }
@@ -134,7 +168,7 @@ func (s *Station) Completed() int64 { return s.completed }
 func (s *Station) Rejected() int64 { return s.rejected }
 
 // QueuedPeak reports the largest queue length observed.
-func (s *Station) QueuedPeak() int { return s.queuedPeak }
+func (s *Station) QueuedPeak() int { return s.queue.peak }
 
 // Fail takes the station out of service: every subsequent submission is
 // refused until Recover. Jobs already queued or in service complete
@@ -181,7 +215,7 @@ func (s *Station) submit(demand float64, done jobDone) {
 		done.jobFinished(false, 0, 0)
 		return
 	}
-	if s.maxJobs > 0 && s.busy+s.queued() >= s.maxJobs {
+	if s.maxJobs > 0 && s.busy+s.queue.len() >= s.maxJobs {
 		s.rejected++
 		done.jobFinished(false, 0, 0)
 		return
@@ -191,10 +225,7 @@ func (s *Station) submit(demand float64, done jobDone) {
 		s.start(j)
 		return
 	}
-	s.queue = append(s.queue, j)
-	if q := s.queued(); q > s.queuedPeak {
-		s.queuedPeak = q
-	}
+	s.queue.push(j)
 }
 
 func (s *Station) start(j pendingJob) {
@@ -227,14 +258,7 @@ func (s *Station) act(slot int32) {
 	s.accumulate()
 	s.busy--
 	s.completed++
-	if s.qhead < len(s.queue) {
-		next := s.queue[s.qhead]
-		s.queue[s.qhead] = pendingJob{}
-		s.qhead++
-		if s.qhead == len(s.queue) {
-			s.queue = s.queue[:0]
-			s.qhead = 0
-		}
+	if next, ok := s.queue.pop(); ok {
 		s.start(next)
 	}
 	sl.jd.jobFinished(true, sl.wait, sl.svc)
@@ -277,7 +301,7 @@ func (s *Station) ResetAccounting() {
 	s.busyTime = 0
 	s.completed = 0
 	s.rejected = 0
-	s.queuedPeak = s.queued()
+	s.queue.peak = s.queue.len()
 	if s.disk != nil {
 		s.disk.ResetAccounting()
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -213,5 +214,87 @@ func TestStationFailRecover(t *testing.T) {
 	}
 	if s.Rejected() != 1 {
 		t.Fatalf("rejected = %d", s.Rejected())
+	}
+}
+
+// TestJobFIFOOrderAndCapacity drives the shared wait queue with random
+// pushes and pops against a plain slice: entries leave in arrival order,
+// and the storage stays within a constant factor of the peak length.
+func TestJobFIFOOrderAndCapacity(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	var q jobFIFO
+	var ref []float64
+	next := 0.0
+	for step := 0; step < 200_000; step++ {
+		// Drift between growing, standing and draining phases.
+		pPush := 0.5 + 0.3*math.Sin(float64(step)/5000)
+		if rng.Float64() < pPush {
+			q.push(pendingJob{demand: next})
+			ref = append(ref, next)
+			next++
+		} else {
+			j, ok := q.pop()
+			if ok != (len(ref) > 0) {
+				t.Fatalf("step %d: pop ok = %v with %d queued", step, ok, len(ref))
+			}
+			if ok {
+				if j.demand != ref[0] {
+					t.Fatalf("step %d: popped %g, want %g", step, j.demand, ref[0])
+				}
+				ref = ref[1:]
+			}
+		}
+		if q.len() != len(ref) {
+			t.Fatalf("step %d: len = %d, want %d", step, q.len(), len(ref))
+		}
+		if c := cap(q.buf); c > 4*q.peak+8 {
+			t.Fatalf("step %d: capacity %d exceeds 4×peak+8 (peak %d)", step, c, q.peak)
+		}
+	}
+	if q.peak < 100 {
+		t.Fatalf("peak %d: the drive never built a real queue", q.peak)
+	}
+}
+
+// holdStandingQueue keeps exactly depth jobs waiting in front of a
+// single busy server, each completion submitting one replacement, and
+// checks that 10⁵ further completions allocate nothing once the queue
+// has stood for as long. A queue that only rewinds when it drains grows
+// its slice by every arrival here.
+func holdStandingQueue(t *testing.T, k *Kernel, submit func(float64, jobDone), q *jobFIFO) {
+	t.Helper()
+	const depth, jobs = 100, 100_000
+	var refill completionFunc
+	refill = func(bool, float64, float64) { submit(1, refill) }
+	for i := 0; i <= depth; i++ {
+		submit(1, refill)
+	}
+	allocs := testing.AllocsPerRun(3, func() { k.Run(k.Now() + jobs) })
+	if allocs != 0 {
+		t.Fatalf("standing queue allocates %.1f objects per %d jobs, want 0", allocs, jobs)
+	}
+	if q.peak != depth {
+		t.Fatalf("queued peak = %d, want %d", q.peak, depth)
+	}
+	if c := cap(q.buf); c > 4*depth {
+		t.Fatalf("queue capacity %d for a standing depth of %d", c, depth)
+	}
+}
+
+func TestStationStandingQueueAllocatesNothing(t *testing.T) {
+	k := NewKernel(1)
+	s := detStation(k, 1, 1, 0)
+	holdStandingQueue(t, k, s.submit, &s.queue)
+	if s.QueuedPeak() != 100 {
+		t.Fatalf("QueuedPeak = %d, want 100", s.QueuedPeak())
+	}
+}
+
+func TestResourceStandingQueueAllocatesNothing(t *testing.T) {
+	k := NewKernel(1)
+	r := NewResource(k, "R/disk", 1)
+	holdStandingQueue(t, k, r.submit, &r.queue)
+	if r.QueuedPeak() != 100 {
+		t.Fatalf("QueuedPeak = %d, want 100", r.QueuedPeak())
 	}
 }

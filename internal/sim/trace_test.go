@@ -107,27 +107,33 @@ func TestTracingNeverPerturbsRequests(t *testing.T) {
 	// A traced run must issue and complete the identical request sequence
 	// as an untraced run: sampling draws from its own hashed stream, never
 	// from the driver's or kernel's.
-	run := func(traced bool) []RequestRecord {
+	run := func(traced bool) churnOutcome {
 		k := NewKernel(31)
 		nt := buildApp(k, 1, 2, 2, 0)
 		d := NewDriver(k, nt, mixModel{think: 0.05}, DriverConfig{Users: 6, RampUp: 0.2}, 31)
 		if traced {
 			d.SetTracer(trace.NewCollector(trace.SeedFor(31), 0.5))
 		}
+		tap := &rtTap{k: k}
+		d.SetRTObserver(tap)
 		d.Start()
 		k.Run(1)
 		d.BeginMeasurement()
 		k.Run(6)
 		d.EndMeasurement()
-		return d.Records()
+		return churnOutcome{responses: tap.got, issued: d.Issued(), errors: d.Errors()}
 	}
 	plain, traced := run(false), run(true)
-	if len(plain) != len(traced) {
-		t.Fatalf("record counts differ: %d vs %d", len(plain), len(traced))
+	if plain.issued != traced.issued || plain.errors != traced.errors {
+		t.Fatalf("request counters differ: issued %d vs %d, errors %d vs %d",
+			plain.issued, traced.issued, plain.errors, traced.errors)
 	}
-	for i := range plain {
-		if plain[i] != traced[i] {
-			t.Fatalf("record %d differs: %+v vs %+v", i, plain[i], traced[i])
+	if len(plain.responses) != len(traced.responses) {
+		t.Fatalf("response counts differ: %d vs %d", len(plain.responses), len(traced.responses))
+	}
+	for i := range plain.responses {
+		if plain.responses[i] != traced.responses[i] {
+			t.Fatalf("response %d differs: %+v vs %+v", i, plain.responses[i], traced.responses[i])
 		}
 	}
 }
@@ -147,47 +153,37 @@ func TestTracingDisabledAddsNoAllocations(t *testing.T) {
 	}
 }
 
-func TestRecordsSurviveNextWindow(t *testing.T) {
-	// Regression: BeginMeasurement used to truncate the record log in
-	// place (records[:0]), so a slice returned by Records before the next
-	// window was silently overwritten by the new window's appends.
+// TestMeasuredLoopAllocatesNothing pins the measured request path: once a
+// first window has sized the driver's response-time storage, a second
+// window of no more requests records every response without allocating.
+func TestMeasuredLoopAllocatesNothing(t *testing.T) {
 	k := NewKernel(9)
-	nt := buildApp(k, 1, 1, 1, 0)
-	d := NewDriver(k, nt, mixModel{think: 0.05}, DriverConfig{Users: 4, RampUp: 0.1}, 9)
+	nt := buildApp(k, 1, 2, 2, 0)
+	d := NewDriver(k, nt, mixModel{think: 0.02}, DriverConfig{Users: 8, RampUp: 0.2}, 9)
 	d.Start()
 	k.Run(1)
+	d.BeginMeasurement()
+	k.Run(21)
+	d.EndMeasurement()
+	first := d.ResponseTimes().Count()
+	if first == 0 {
+		t.Fatal("first window measured nothing")
+	}
 
 	d.BeginMeasurement()
-	k.Run(4)
+	// One warm-up call and one measured call of 4 s each: 8 s against the
+	// first window's 20 s, so the second window sees fewer requests. One
+	// long measured call, because AllocsPerRun truncates the mean to an
+	// integer and a growing slice reallocates only now and then.
+	allocs := testing.AllocsPerRun(1, func() {
+		k.Run(k.Now() + 4)
+	})
 	d.EndMeasurement()
-	first := d.Records()
-	if len(first) == 0 {
-		t.Fatalf("first window recorded nothing")
+	second := d.ResponseTimes().Count()
+	if second == 0 || second > first {
+		t.Fatalf("second window measured %d requests, want 1..%d", second, first)
 	}
-	snapshot := make([]RequestRecord, len(first))
-	copy(snapshot, first)
-
-	d.BeginMeasurement()
-	k.Run(8)
-	d.EndMeasurement()
-	second := d.Records()
-	if len(second) == 0 {
-		t.Fatalf("second window recorded nothing")
-	}
-
-	if len(first) != len(snapshot) {
-		t.Fatalf("first window slice changed length: %d vs %d", len(first), len(snapshot))
-	}
-	for i := range first {
-		if first[i] != snapshot[i] {
-			t.Fatalf("first window record %d overwritten by second window: %+v vs %+v",
-				i, first[i], snapshot[i])
-		}
-	}
-	// The windows are disjoint in time: everything in the second window was
-	// issued after the first window ended.
-	lastFirst := first[len(first)-1].Issued
-	if second[0].Issued <= lastFirst {
-		t.Fatalf("second window leaked into the first: %f <= %f", second[0].Issued, lastFirst)
+	if allocs != 0 {
+		t.Fatalf("measured loop allocates %.1f objects/run, want 0", allocs)
 	}
 }
